@@ -198,18 +198,7 @@ void BM_AllreduceClassic(benchmark::State& state) {
 }
 BENCHMARK(BM_AllreduceClassic)->Arg(4)->Arg(16);
 
-void BM_AllreduceButterfly(benchmark::State& state) {
-  const int np = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    mp::run(np, [&](mp::Communicator& comm) {
-      benchmark::DoNotOptimize(comm.butterfly_allreduce(
-          static_cast<long>(comm.rank()), mp::op_sum<long>()));
-    });
-  }
-}
-BENCHMARK(BM_AllreduceButterfly)->Arg(4)->Arg(16);
-
-// ---- Collectives: bandwidth tier (ring vs tree, segmented vs whole) -------
+// ---- Collectives: bandwidth tier (ring vs tree, tree broadcast) -----------
 //
 // Large-vector ablation, size x ranks. range(0) is the body size in BYTES,
 // range(1) the rank count, so labels read BM_AllreduceRing/1048576/8. The
@@ -225,30 +214,26 @@ BENCHMARK(BM_AllreduceButterfly)->Arg(4)->Arg(16);
 // are real costs, but they are identical across algorithms and measuring
 // them would dilute the ring-vs-tree ratio this sweep exists to pin.
 
-void allreduce_sweep(benchmark::State& state, mp::CollAlgorithm algo) {
+/// Times \p allreduce(comm, body) on every rank, barrier to barrier.
+template <typename Allreduce>
+void allreduce_sweep(benchmark::State& state, Allreduce allreduce) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   const int np = static_cast<int>(state.range(1));
   const std::size_t count = bytes / sizeof(long);
-  mp::RunOptions options;
-  options.coll_algorithm = algo;
   for (auto _ : state) {
     double elapsed = 0.0;
-    mp::run(
-        np,
-        [&](mp::Communicator& comm) {
-          std::vector<long> body(count, comm.rank());
-          comm.barrier();
-          const auto t0 = std::chrono::steady_clock::now();
-          benchmark::DoNotOptimize(
-              comm.allreduce(std::move(body), mp::op_sum<long>()));
-          comm.barrier();
-          if (comm.rank() == 0) {
-            elapsed = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-          }
-        },
-        options);
+    mp::run(np, [&](mp::Communicator& comm) {
+      std::vector<long> body(count, comm.rank());
+      comm.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(allreduce(comm, std::move(body)));
+      comm.barrier();
+      if (comm.rank() == 0) {
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+      }
+    });
     state.SetIterationTime(elapsed);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -256,11 +241,15 @@ void allreduce_sweep(benchmark::State& state, mp::CollAlgorithm algo) {
 }
 
 void BM_AllreduceRing(benchmark::State& state) {
-  allreduce_sweep(state, mp::CollAlgorithm::kRing);
+  allreduce_sweep(state, [](const mp::Communicator& comm, std::vector<long> body) {
+    return comm.ring_allreduce(std::move(body), mp::op_sum<long>());
+  });
 }
 
 void BM_AllreduceTree(benchmark::State& state) {
-  allreduce_sweep(state, mp::CollAlgorithm::kTree);
+  allreduce_sweep(state, [](const mp::Communicator& comm, std::vector<long> body) {
+    return comm.broadcast(comm.reduce(std::move(body), mp::op_sum<long>(), 0), 0);
+  });
 }
 
 #define PML_COLL_SWEEP(bench)                                          \
@@ -274,47 +263,31 @@ PML_COLL_SWEEP(BM_AllreduceRing);
 PML_COLL_SWEEP(BM_AllreduceTree);
 #undef PML_COLL_SWEEP
 
-void broadcast_sweep(benchmark::State& state, std::size_t segment_bytes) {
+// The binomial-tree broadcast of a large vector, timed the same way. The
+// series keeps its historical name: every tree hop moves the whole body.
+void BM_BroadcastWhole(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   const int np = static_cast<int>(state.range(1));
   const std::size_t count = bytes / sizeof(long);
-  mp::RunOptions options;
-  options.coll_segment_bytes = segment_bytes;  // 0 = whole-body hops
   const std::vector<long> payload(count, 7);
   for (auto _ : state) {
     double elapsed = 0.0;
-    mp::run(
-        np,
-        [&](mp::Communicator& comm) {
-          comm.barrier();
-          const auto t0 = std::chrono::steady_clock::now();
-          benchmark::DoNotOptimize(comm.broadcast(payload, 0));
-          comm.barrier();
-          if (comm.rank() == 0) {
-            elapsed = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-          }
-        },
-        options);
+    mp::run(np, [&](mp::Communicator& comm) {
+      comm.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(comm.broadcast(payload, 0));
+      comm.barrier();
+      if (comm.rank() == 0) {
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+      }
+    });
     state.SetIterationTime(elapsed);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-
-void BM_BroadcastSegmented(benchmark::State& state) {
-  broadcast_sweep(state, mp::kDefaultCollSegmentBytes);
-}
-
-void BM_BroadcastWhole(benchmark::State& state) {
-  broadcast_sweep(state, 0);
-}
-
-BENCHMARK(BM_BroadcastSegmented)
-    ->Args({1 << 20, 4})->Args({1 << 20, 8})
-    ->Args({16 << 20, 4})->Args({16 << 20, 8})
-    ->UseManualTime();
 BENCHMARK(BM_BroadcastWhole)
     ->Args({1 << 20, 4})->Args({1 << 20, 8})
     ->Args({16 << 20, 4})->Args({16 << 20, 8})

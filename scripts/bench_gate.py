@@ -46,7 +46,7 @@ GATED_LABELS = (
     "BM_PingPongLargeEager/1048576",
     "BM_PingPongLargeEager/16777216",
     # Bandwidth-optimal collective tier: the large-size ring/tree allreduce
-    # sweep points and the segmented-broadcast ablation. Only sizes where
+    # sweep points and the whole-body tree broadcast. Only sizes where
     # payload movement dominates are gated — the 4 KiB points are
     # latency-bound and too scheduler-noisy for a 20% floor. Gating BOTH
     # algorithms keeps the auto-selection honest: a dispatch bug that
@@ -58,7 +58,6 @@ GATED_LABELS = (
     "BM_AllreduceRing/16777216/4",
     "BM_AllreduceTree/1048576/8",
     "BM_AllreduceTree/16777216/4",
-    "BM_BroadcastSegmented/16777216/4",
     "BM_BroadcastWhole/16777216/4",
     # Checkpoint-overhead floor: one committed consistent cut (64 KiB state
     # x 4 ranks, in-memory store). Keeps the cut protocol from quietly

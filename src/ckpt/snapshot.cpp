@@ -11,7 +11,7 @@ namespace pml::ckpt {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'M', 'L', 'C', 'K', 'P', 'T', '1'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 /// Append-only little-endian writer.
 class Writer {
@@ -106,7 +106,6 @@ std::vector<std::byte> encode(const GlobalCut& cut) {
       w.i32(e.source);
       w.i32(e.tag);
       w.u8(e.rts ? 1 : 0);
-      w.u8(e.coll_seg ? 1 : 0);
       w.blob64(e.data.data(), e.data.size());
     }
     w.u32(static_cast<std::uint32_t>(rs.parks.size()));
@@ -154,7 +153,6 @@ GlobalCut decode(const std::vector<std::byte>& bytes) {
       e.source = r.i32();
       e.tag = r.i32();
       e.rts = r.u8() != 0;
-      e.coll_seg = r.u8() != 0;
       const std::vector<std::byte> body = r.blob64();
       e.data.append(body.data(), body.size());
     }

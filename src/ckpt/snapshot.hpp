@@ -6,7 +6,8 @@
 /// Layout (all integers little-endian):
 ///
 ///   magic   "PMLCKPT1"                     8 bytes
-///   version u32 (currently 1)
+///   version u32 (currently 2; version 1 carried one more flag byte per
+///                 mailbox envelope and is rejected)
 ///   seq     u64   commit sequence number (checkpoint call index)
 ///   calls   u64   per-rank checkpoint() call count after this commit
 ///   nprocs  u32
@@ -17,7 +18,7 @@
 ///     fault_checkpoints u64
 ///     output_lines     u64
 ///     mailbox          u32 count, then per envelope:
-///       context u32, source i32, tag i32, rts u8, coll_seg u8,
+///       context u32, source i32, tag i32, rts u8,
 ///       body u64 length + bytes
 ///     parks            u32 count, then per parked send:
 ///       ticket u64, sender i32, dest i32, tag i32, context u32,

@@ -64,14 +64,13 @@ Envelope Communicator::coll_recv(int source, int tag, const char* what) const {
 }
 
 void Communicator::send_payload(int dest, int tag, Payload&& bytes,
-                                std::uint64_t ack_id, bool coll_seg) const {
+                                std::uint64_t ack_id) const {
   if (bytes.size() <= state_->eager_bytes) {
     Envelope e{context_, rank_, tag, std::move(bytes)};
     if (ack_id != 0) {
       e.wants_ack = true;
       e.ack_id = ack_id;
     }
-    e.coll_seg = coll_seg;
     deliver(dest, std::move(e));
     return;
   }
@@ -82,11 +81,11 @@ void Communicator::send_payload(int dest, int tag, Payload&& bytes,
   auto& held = *std::any_cast<Payload>(&parked.storage);
   parked.data = held.data();
   parked.bytes = held.size();
-  send_rts(dest, tag, std::move(parked), ack_id, coll_seg);
+  send_rts(dest, tag, std::move(parked), ack_id);
 }
 
 void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
-                            std::uint64_t ack_id, bool coll_seg) const {
+                            std::uint64_t ack_id) const {
   obs::SpanScope span{obs::SpanKind::kRendezvous, "rdv-park", dest,
                       static_cast<std::int64_t>(parked.bytes)};
   parked.sender = rank_;
@@ -103,7 +102,6 @@ void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
     e.wants_ack = true;
     e.ack_id = ack_id;
   }
-  e.coll_seg = coll_seg;
   deliver(dest, std::move(e));
 }
 
@@ -163,111 +161,6 @@ std::vector<int> Communicator::bcast_children(int vr, int root) const {
     }
   }
   return kids;
-}
-
-void Communicator::send_seg_header(int dest, int tag, std::uint64_t total,
-                                   std::uint64_t seg) const {
-  send_payload(dest, tag, Codec<CollSegHeader>::encode(CollSegHeader{total, seg}),
-               /*ack_id=*/0, /*coll_seg=*/true);
-}
-
-std::pair<bool, Payload> Communicator::recv_flagged(int source, int tag,
-                                                    const char* what) const {
-  for (;;) {
-    Envelope e = coll_recv(source, tag, what);
-    const bool segmented = e.coll_seg;
-    auto body = resolve_payload(std::move(e));
-    if (!body) continue;  // stale RTS: keep waiting
-    return {segmented, std::move(*body)};
-  }
-}
-
-void Communicator::bcast_tree_send(const Payload& bytes,
-                                   const std::vector<int>& kids) const {
-  if (kids.empty()) return;
-  const std::size_t seg = state_->coll_segment_bytes;
-  if (seg == 0 || bytes.size() <= seg) {
-    for (int child : kids) {
-      // One copy per child (the buffer is reused across subtrees), then
-      // zero-copy transport: a large copy parks, a small one rides.
-      Payload forward = bytes;
-      count_payload_copy(forward.size());
-      send_payload(child, internal_tag::kBcast, std::move(forward));
-    }
-    return;
-  }
-  // Segmented: announce to every child first, then interleave the segment
-  // sends per child so each subtree's pipeline fills in parallel.
-  for (int child : kids) {
-    send_seg_header(child, internal_tag::kBcast, bytes.size(), seg);
-  }
-  for (std::size_t off = 0; off < bytes.size(); off += seg) {
-    const std::size_t len = std::min(seg, bytes.size() - off);
-    for (int child : kids) {
-      Payload piece;
-      piece.append(bytes.data() + off, len);
-      count_payload_copy(len);
-      obs::count(obs::Counter::kCollSegments);
-      send_payload(child, internal_tag::kBcastSeg, std::move(piece));
-    }
-  }
-}
-
-Payload Communicator::bcast_tree_recv(int parent, const std::vector<int>& kids,
-                                      const char* what) const {
-  auto [segmented, body] = recv_flagged(parent, internal_tag::kBcast, what);
-  if (!segmented) {
-    for (int child : kids) {
-      Payload forward = body;
-      count_payload_copy(forward.size());
-      send_payload(child, internal_tag::kBcast, std::move(forward));
-    }
-    return std::move(body);
-  }
-  const CollSegHeader h = Codec<CollSegHeader>::decode(std::move(body));
-  if (h.seg == 0) {
-    throw RuntimeFault(std::string(what) + ": corrupt segment header");
-  }
-  // Forward the header immediately: children learn the shape before this
-  // rank has seen a single segment — that is the pipeline.
-  for (int child : kids) {
-    send_seg_header(child, internal_tag::kBcast, h.total, h.seg);
-  }
-  Payload all;
-  all.reserve(static_cast<std::size_t>(h.total));
-  for (std::uint64_t off = 0; off < h.total; off += h.seg) {
-    Payload piece = coll_recv_typed<Payload>(parent, internal_tag::kBcastSeg, what);
-    for (int child : kids) {
-      Payload forward = piece;
-      count_payload_copy(forward.size());
-      obs::count(obs::Counter::kCollSegments);
-      send_payload(child, internal_tag::kBcastSeg, std::move(forward));
-    }
-    all.append(piece.data(), piece.size());
-    count_payload_copy(piece.size());
-  }
-  return all;
-}
-
-CollAlgorithm Communicator::choose_allreduce_algo(std::size_t nbytes,
-                                                  bool commutative,
-                                                  bool ring_capable) const {
-  const bool ring_ok = ring_capable && commutative && size() > 1;
-  switch (state_->coll_algorithm) {
-    case CollAlgorithm::kTree:
-      return CollAlgorithm::kTree;
-    case CollAlgorithm::kRing:
-      // A forced ring that the call cannot honor (scalar body, or a
-      // non-commutative op) degrades to the tree so results stay correct.
-      return ring_ok ? CollAlgorithm::kRing : CollAlgorithm::kTree;
-    case CollAlgorithm::kButterfly:
-      return CollAlgorithm::kButterfly;
-    case CollAlgorithm::kAuto:
-      break;
-  }
-  const std::size_t bar = state_->coll_segment_bytes;
-  if (ring_ok && bar != 0 && nbytes >= bar) return CollAlgorithm::kRing;
-  return CollAlgorithm::kTree;
 }
 
 void Communicator::throw_collective_timeout(int source, const char* what) const {

@@ -13,15 +13,13 @@
 ///  - barrier: dissemination, ceil(lg p) rounds (Figs. 10-12);
 ///  - broadcast/reduce: binomial tree, ceil(lg p) rounds — the O(lg t)
 ///    combining the paper's Fig. 19 illustrates; the flat_* variants are the
-///    O(p) strawmen used by the ablation bench. Bodies over the segment
-///    threshold (RunOptions::coll_segment_bytes / PML_MP_COLL_SEGMENT_BYTES)
-///    are chopped into segments that stream down the tree, overlapping
-///    depth with transfer;
+///    O(p) strawmen used by the ablation bench. Every hop moves the whole
+///    body;
 ///  - reduce_scatter / ring allgather / ring_allreduce: bandwidth-optimal
 ///    rings moving N/p-element blocks — 2N(p-1)/p bytes per rank instead of
 ///    the tree's N*lg p. Rings reorder combine operands, so they require
-///    Op::commutative; allreduce() auto-selects them for large commutative
-///    vector bodies (see CollAlgorithm for the ablation overrides);
+///    Op::commutative; allreduce() takes the ring for commutative vector
+///    bodies of at least kRingAllreduceBytes and the tree otherwise;
 ///  - gather/scatter: linear at the root (Fig. 25-28);
 ///  - scan/exscan: linear chain (deterministic prefix order, one message
 ///    per rank).
@@ -63,10 +61,8 @@ inline constexpr int kScan = kMaxUserTag + 68;
 inline constexpr int kAlltoall = kMaxUserTag + 69;
 inline constexpr int kSplit = kMaxUserTag + 70;
 inline constexpr int kAck = kMaxUserTag + 71;
-inline constexpr int kBcastSeg = kMaxUserTag + 72;   ///< Pipelined bcast segments.
-inline constexpr int kReduceSeg = kMaxUserTag + 73;  ///< Pipelined reduce segments.
-inline constexpr int kRingRs = kMaxUserTag + 74;     ///< Ring reduce-scatter blocks.
-inline constexpr int kRingAg = kMaxUserTag + 75;     ///< Ring allgather blocks.
+inline constexpr int kRingRs = kMaxUserTag + 74;  ///< Ring reduce-scatter blocks.
+inline constexpr int kRingAg = kMaxUserTag + 75;  ///< Ring allgather blocks.
 
 /// Checkpoint protocol block (pml::ckpt). The whole half-open tag range
 /// [kCkptRelease, kCkptEnd) is protocol traffic, never user state: the
@@ -78,17 +74,6 @@ inline constexpr int kCkptBarrierA = kMaxUserTag + 80;  ///< +round (cut entry).
 inline constexpr int kCkptBarrierB = kMaxUserTag + 112;  ///< +round (cut exit).
 inline constexpr int kCkptEnd = kMaxUserTag + 144;      ///< Exclusive range end.
 }  // namespace internal_tag
-
-/// Header announcing a segmented collective transfer: the body arrives as
-/// ceil(total/seg) segment messages on the collective's companion tag. It
-/// travels as a flagged envelope (Envelope::coll_seg) on the collective's
-/// base tag, so whole-body and segmented sends share one matching stream
-/// and raggedness across the segmentation threshold is a diagnosable
-/// mismatch instead of a hang. Trivially copyable: rides the scalar codec.
-struct CollSegHeader {
-  std::uint64_t total = 0;  ///< Full body size in bytes.
-  std::uint64_t seg = 0;    ///< Segment size in bytes (last one may be short).
-};
 
 /// Backoff schedule for the fault-tolerant point-to-point calls
 /// (send_with_retry / recv_retry): capped exponential.
@@ -460,27 +445,24 @@ class Communicator {
   }
 
   /// Binomial-tree broadcast from \p root (MPI_Bcast). Returns the value
-  /// on every rank. Serializes exactly once at the root; every interior hop
-  /// forwards the raw payload bytes (one copy per child, never a re-encode)
-  /// and only the locally returned value is decoded. Bodies over the
-  /// segment threshold stream down the tree as pipelined segments, so a
-  /// grandchild starts receiving while the root is still sending.
+  /// on every rank. Each rank takes the value from its parent, then sends
+  /// every child its own copy (see send_copy): one payload copy per hop,
+  /// and a large vector arrives without a decode.
   template <typename T>
   T broadcast(T value, int root) const {
     check_peer(root, "broadcast");
     obs::SpanScope coll{obs::SpanKind::kCollective, "broadcast", root};
     const int p = size();
     const int vr = (rank_ - root + p) % p;
-    const std::vector<int> kids = bcast_children(vr, root);
-    if (vr == 0) {
-      Payload bytes = Codec<T>::encode(value);
-      count_payload_copy(bytes.size());
-      bcast_tree_send(bytes, kids);
-      return value;
+    if (vr != 0) {
+      // The parent is vr with its lowest set bit cleared.
+      const int parent = ((vr & (vr - 1)) + root) % p;
+      value = coll_recv_typed<T>(parent, internal_tag::kBcast, "broadcast");
     }
-    // Receive from parent (clear lowest set bit), then forward to children.
-    const int parent = ((vr & (vr - 1)) + root) % p;
-    return decode_counted<T>(bcast_tree_recv(parent, kids, "broadcast"));
+    for (int child : bcast_children(vr, root)) {
+      send_copy(child, internal_tag::kBcast, value);
+    }
+    return value;
   }
 
   /// Flat (linear) broadcast — the O(p) strawman for the ablation bench.
@@ -519,19 +501,12 @@ class Communicator {
         trace);
   }
 
-  /// Elementwise vector reduction (MPI_Reduce on an array). Bodies over the
-  /// segment threshold stream up the tree as pipelined segments (combining
-  /// preserves the tree's deterministic rank order either way, so any
-  /// associative op reduces identically on both paths).
+  /// Elementwise vector reduction (MPI_Reduce on an array). Each hop ships
+  /// a copy of the sender's subtree partial (see send_copy): one payload
+  /// copy per hop above the eager threshold.
   template <typename T>
   std::vector<T> reduce(std::vector<T> local, const Op<T>& op, int root,
                         pml::Trace* trace = nullptr) const {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      const std::size_t seg = state_->coll_segment_bytes;
-      if (seg != 0 && local.size() * sizeof(T) > seg && size() > 1) {
-        return reduce_segmented(std::move(local), op, root, trace);
-      }
-    }
     return reduce_generic<std::vector<T>>(
         std::move(local),
         [&op](std::vector<T>& acc, const std::vector<T>& incoming) {
@@ -590,37 +565,28 @@ class Communicator {
     return acc;
   }
 
-  /// MPI_Allreduce: reduce to rank 0, then broadcast — unless a forced
-  /// algorithm override (RunOptions::coll_algorithm / PML_MP_COLL_ALGO)
-  /// selects the butterfly.
+  /// MPI_Allreduce: reduce to rank 0, then broadcast.
   template <typename T>
   T allreduce(T local, const Op<T>& op) const {
-    if (choose_allreduce_algo(sizeof(T), op.commutative,
-                              /*ring_capable=*/false) == CollAlgorithm::kButterfly) {
-      return butterfly_allreduce(std::move(local), op);
-    }
     T reduced = reduce(std::move(local), op, 0);
     return broadcast(std::move(reduced), 0);
   }
 
-  /// Vector MPI_Allreduce with algorithm selection: a large commutative
-  /// body takes the bandwidth-optimal ring (reduce-scatter + allgather,
-  /// 2N(p-1)/p bytes per rank); everything else takes the tree
-  /// (reduce + broadcast, N*lg p per rank but lg p rounds). The selection
-  /// dispatches on (payload bytes, p, Op::commutative); forced overrides
-  /// via RunOptions::coll_algorithm / PML_MP_COLL_ALGO exist for ablation.
+  /// The large-body bar of the vector allreduce rule.
+  static constexpr std::size_t kRingAllreduceBytes = 256 * 1024;
+
+  /// Vector MPI_Allreduce. One fixed rule: a commutative vector of trivially
+  /// copyable elements of at least kRingAllreduceBytes takes the
+  /// bandwidth-optimal ring (reduce-scatter + allgather, 2N(p-1)/p bytes
+  /// per rank); everything else takes the tree (reduce + broadcast,
+  /// N*lg p per rank but lg p rounds). Call ring_allreduce() or reduce()
+  /// then broadcast() to pick an algorithm by name.
   template <typename T>
   std::vector<T> allreduce(std::vector<T> local, const Op<T>& op) const {
-    const CollAlgorithm algo =
-        choose_allreduce_algo(local.size() * sizeof(T), op.commutative,
-                              /*ring_capable=*/std::is_trivially_copyable_v<T>);
     if constexpr (std::is_trivially_copyable_v<T>) {
-      if (algo == CollAlgorithm::kRing) {
+      if (op.commutative && local.size() * sizeof(T) >= kRingAllreduceBytes) {
         return ring_allreduce(std::move(local), op);
       }
-    }
-    if (algo == CollAlgorithm::kButterfly) {
-      return butterfly_allreduce(std::move(local), op);
     }
     std::vector<T> reduced = reduce(std::move(local), op, 0);
     return broadcast(std::move(reduced), 0);
@@ -725,114 +691,6 @@ class Communicator {
                 local.begin() + static_cast<std::ptrdiff_t>(off));
       count_payload_copy(len * sizeof(T));
       carry = std::move(inc);
-    }
-    return local;
-  }
-
-  /// Allreduce by recursive doubling (the butterfly): ceil(lg p) exchange
-  /// rounds instead of reduce+broadcast's 2*ceil(lg p). When p is not a
-  /// power of two the fold-in step reorders operands, so a non-commutative
-  /// op (Op::commutative unset) falls back to tree reduce + broadcast; with
-  /// power-of-two p the combine order is rank-symmetric and any associative
-  /// op works. The ablation benches compare this against allreduce().
-  template <typename T>
-  T butterfly_allreduce(T local, const Op<T>& op) const {
-    const int p = size();
-    // Fold ranks beyond the largest power of two into their partners so
-    // the butterfly proper runs on 2^k participants.
-    int pow2 = 1;
-    while (pow2 * 2 <= p) pow2 *= 2;
-    const int extra = p - pow2;
-    if (extra != 0 && !op.commutative) {
-      T reduced = reduce(std::move(local), op, 0);
-      return broadcast(std::move(reduced), 0);
-    }
-    obs::SpanScope coll{obs::SpanKind::kCollective, "butterfly-allreduce"};
-
-    if (rank_ >= pow2) {
-      // Send my value down to rank_ - pow2, then wait for the result.
-      send_encoded(rank_ - pow2, internal_tag::kReduce, local);
-      return coll_recv_typed<T>(rank_ - pow2, internal_tag::kBcast,
-                                "butterfly_allreduce");
-    }
-    if (rank_ < extra) {
-      T incoming = coll_recv_typed<T>(rank_ + pow2, internal_tag::kReduce,
-                                      "butterfly_allreduce");
-      local = op.combine(local, incoming);
-    }
-
-    // Butterfly rounds among the first pow2 ranks.
-    for (int mask = 1; mask < pow2; mask <<= 1) {
-      const int partner = rank_ ^ mask;
-      send_encoded(partner, internal_tag::kReduce, local);
-      T incoming = coll_recv_typed<T>(partner, internal_tag::kReduce,
-                                      "butterfly_allreduce");
-      // Combine in a rank-symmetric order so both partners agree.
-      local = (rank_ < partner) ? op.combine(local, incoming)
-                                : op.combine(incoming, local);
-    }
-
-    if (rank_ < extra) {
-      send_encoded(rank_ + pow2, internal_tag::kBcast, local);
-    }
-    return local;
-  }
-
-  /// Elementwise vector butterfly allreduce: the scalar algorithm with
-  /// whole-vector exchanges and bulk elementwise combining. Same
-  /// commutativity contract as the scalar overload (non-power-of-two p plus
-  /// a non-commutative op falls back to the tree); equal vector lengths are
-  /// enforced with the same UsageError the tree path throws.
-  template <typename T>
-  std::vector<T> butterfly_allreduce(std::vector<T> local, const Op<T>& op) const {
-    const int p = size();
-    int pow2 = 1;
-    while (pow2 * 2 <= p) pow2 *= 2;
-    const int extra = p - pow2;
-    if (extra != 0 && !op.commutative) {
-      std::vector<T> reduced = reduce(std::move(local), op, 0);
-      return broadcast(std::move(reduced), 0);
-    }
-    obs::SpanScope coll{obs::SpanKind::kCollective, "butterfly-allreduce"};
-    const auto check_len = [&](const std::vector<T>& inc) {
-      if (inc.size() != local.size()) {
-        throw UsageError(
-            "butterfly_allreduce: ranks contributed different vector lengths");
-      }
-    };
-
-    if (rank_ >= pow2) {
-      send_encoded(rank_ - pow2, internal_tag::kReduce, local);
-      return coll_recv_typed<std::vector<T>>(rank_ - pow2, internal_tag::kBcast,
-                                             "butterfly_allreduce");
-    }
-    if (rank_ < extra) {
-      std::vector<T> incoming = coll_recv_typed<std::vector<T>>(
-          rank_ + pow2, internal_tag::kReduce, "butterfly_allreduce");
-      check_len(incoming);
-      combine_range(op, local.data(), incoming.data(), local.size());
-      obs::count(obs::Counter::kCombines);
-    }
-
-    for (int mask = 1; mask < pow2; mask <<= 1) {
-      const int partner = rank_ ^ mask;
-      send_encoded(partner, internal_tag::kReduce, local);
-      std::vector<T> incoming = coll_recv_typed<std::vector<T>>(
-          partner, internal_tag::kReduce, "butterfly_allreduce");
-      check_len(incoming);
-      // Combine in a rank-symmetric order so both partners agree even for
-      // non-commutative ops at power-of-two p.
-      if (rank_ < partner) {
-        combine_range(op, local.data(), incoming.data(), local.size());
-      } else {
-        combine_range(op, incoming.data(), local.data(), local.size());
-        local = std::move(incoming);
-      }
-      obs::count(obs::Counter::kCombines);
-    }
-
-    if (rank_ < extra) {
-      send_encoded(rank_ + pow2, internal_tag::kBcast, local);
     }
     return local;
   }
@@ -1131,13 +989,12 @@ class Communicator {
   /// Routes an already-encoded body: eager at or below the threshold,
   /// park + RTS above it. \p ack_id != 0 requests a receiver ack
   /// (ssend); for a rendezvous body the ack fires at claim time.
-  /// \p coll_seg marks the envelope as a segmented-collective header.
   void send_payload(int dest, int tag, Payload&& bytes,
-                    std::uint64_t ack_id = 0, bool coll_seg = false) const;
+                    std::uint64_t ack_id = 0) const;
 
   /// Parks \p parked under a fresh ticket and deposits its RTS envelope.
   void send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
-                std::uint64_t ack_id = 0, bool coll_seg = false) const;
+                std::uint64_t ack_id = 0) const;
 
   /// Resolves a matched RTS envelope to its parked body. Empty means the
   /// RTS was stale (duplicated or withdrawn) — the caller keeps waiting.
@@ -1361,107 +1218,10 @@ class Communicator {
     return mine;
   }
 
-  /// Segmented, pipelined binomial-tree reduction: bodies are chopped at
-  /// the segment threshold and each combined segment is shipped upward
-  /// before the next one is touched, overlapping tree depth with transfer.
-  /// Children combine in ascending-mask order — exactly the plain tree's
-  /// order — so any associative op reduces identically on both paths.
-  template <typename T>
-  std::vector<T> reduce_segmented(std::vector<T> local, const Op<T>& op,
-                                  int root, pml::Trace* trace) const {
-    check_peer(root, "reduce");
-    obs::SpanScope coll{obs::SpanKind::kCollective, "reduce-seg", root};
-    const int p = size();
-    const int vr = (rank_ - root + p) % p;
-    const std::size_t n = local.size();
-    const std::size_t seg_elems =
-        std::max<std::size_t>(1, state_->coll_segment_bytes / sizeof(T));
-    struct Child {
-      int rank;
-      int round;
-    };
-    std::vector<Child> kids;
-    int parent = -1;
-    int round = 0;
-    for (int mask = 1; mask < p; mask <<= 1, ++round) {
-      if ((vr & mask) != 0) {
-        parent = ((vr - mask) + root) % p;
-        break;
-      }
-      if (vr + mask < p) kids.push_back({((vr + mask) + root) % p, round});
-    }
-    // Announce upward first so the subtree pipeline fills leaf-to-root.
-    if (parent >= 0) {
-      send_seg_header(parent, internal_tag::kReduce, n * sizeof(T),
-                      seg_elems * sizeof(T));
-    }
-    // Every child announces its total before its segments; a mismatch is
-    // the ragged-length error, caught before any segment is waited on. A
-    // child below the segment threshold sends its (necessarily shorter)
-    // body whole — an unflagged envelope, equally diagnosable.
-    for (const Child& c : kids) {
-      auto [segmented, header] =
-          recv_flagged(c.rank, internal_tag::kReduce, "reduce");
-      if (!segmented) {
-        throw UsageError("reduce: ranks contributed different vector lengths");
-      }
-      const CollSegHeader h = Codec<CollSegHeader>::decode(std::move(header));
-      if (h.total != n * sizeof(T)) {
-        throw UsageError("reduce: ranks contributed different vector lengths");
-      }
-      if (trace != nullptr) trace->record(rank_, "combine", c.round, c.rank);
-    }
-    for (std::size_t off = 0; off < n; off += seg_elems) {
-      const std::size_t len = std::min(seg_elems, n - off);
-      for (const Child& c : kids) {
-        std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-            c.rank, internal_tag::kReduceSeg, "reduce");
-        if (inc.size() != len) {
-          throw UsageError("reduce: ranks contributed different vector lengths");
-        }
-        combine_range(op, local.data() + off, inc.data(), len);
-        obs::count(obs::Counter::kCombines);
-      }
-      if (parent >= 0) {
-        std::vector<T> piece(
-            local.begin() + static_cast<std::ptrdiff_t>(off),
-            local.begin() + static_cast<std::ptrdiff_t>(off + len));
-        count_payload_copy(len * sizeof(T));
-        obs::count(obs::Counter::kCollSegments);
-        send_owned(parent, internal_tag::kReduceSeg, std::move(piece));
-      }
-    }
-    return local;
-  }
-
   /// Absolute ranks of vr's binomial-tree children under \p root, in the
   /// high-mask-first order the whole-body broadcast sends.
   std::vector<int> bcast_children(int vr, int root) const;
 
-  /// Root/interior send side of broadcast: whole-body forwards below the
-  /// segment threshold, header + pipelined segments above it.
-  void bcast_tree_send(const Payload& bytes, const std::vector<int>& kids) const;
-
-  /// Non-root receive side of broadcast: receives the whole body or the
-  /// segment stream from \p parent, forwarding to \p kids as data arrives.
-  Payload bcast_tree_recv(int parent, const std::vector<int>& kids,
-                          const char* what) const;
-
-  /// Sends one segmented-transfer header (a flagged CollSegHeader envelope
-  /// on the collective's base tag).
-  void send_seg_header(int dest, int tag, std::uint64_t total,
-                       std::uint64_t seg) const;
-
-  /// coll_recv + rendezvous resolution preserving the coll_seg flag: the
-  /// header-or-whole-body receive of the segmented collectives.
-  std::pair<bool, Payload> recv_flagged(int source, int tag,
-                                        const char* what) const;
-
-  /// The allreduce dispatch rule. Forced algorithms (RunOptions /
-  /// PML_MP_COLL_ALGO) win when the call can honor them; kAuto takes the
-  /// ring for large commutative vector bodies and the tree otherwise.
-  CollAlgorithm choose_allreduce_algo(std::size_t nbytes, bool commutative,
-                                      bool ring_capable) const;
   /// @}
 
   /// The binomial-tree reduction shared by scalar and vector reduce.
@@ -1475,7 +1235,7 @@ class Communicator {
     for (int mask = 1; mask < p; mask <<= 1, ++round) {
       if ((vr & mask) != 0) {
         const int parent = ((vr - mask) + root) % p;
-        send_encoded(parent, internal_tag::kReduce, local);
+        send_copy(parent, internal_tag::kReduce, local);
         break;  // sent our subtree's partial upward; done
       }
       if (vr + mask < p) {
@@ -1488,6 +1248,28 @@ class Communicator {
       }
     }
     return local;
+  }
+
+  /// A tree hop: sends \p dest a copy of \p value, which the sender keeps
+  /// (a reduce partial is what reduce returns off-root; a broadcast value
+  /// goes to every child). A trivially copyable vector above the eager
+  /// threshold ships its copy by ownership transfer, so the hop costs one
+  /// payload copy and the receiver claims the body without a decode.
+  template <typename V>
+  void send_copy(int dest, int tag, const V& value) const {
+    send_encoded(dest, tag, value);
+  }
+  template <typename T>
+  void send_copy(int dest, int tag, const std::vector<T>& value) const {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      if (byte_size(value) > state_->eager_bytes) {
+        std::vector<T> copy = value;
+        count_payload_copy(byte_size(copy));
+        send_owned(dest, tag, std::move(copy));
+        return;
+      }
+    }
+    send_encoded(dest, tag, value);
   }
 
   std::shared_ptr<detail::RuntimeState> state_;

@@ -308,19 +308,7 @@ std::optional<Envelope> Mailbox::receive_for(int context, int source, int tag,
         throw RuntimeFault("receive aborted: message-passing runtime shut down");
       }
       if (!timed_out) continue;
-      // Same near-miss report as the real-deadline path below.
-      bool report = false;
-      std::vector<analyze::MsgCoord> present;
-      int who = owner_;
-      if (analyze::active()) {
-        report = true;
-        present.reserve(total_queued_);
-        for (const auto& [key, bucket] : store_) {
-          for (const auto& m : bucket) present.push_back({m.source, m.tag, m.context});
-        }
-      }
-      lock.unlock();
-      if (report) analyze::on_mp_timeout(who, source, tag, context, present);
+      report_timeout(lock, context, source, tag);
       return std::nullopt;
     }
   }
@@ -337,23 +325,7 @@ std::optional<Envelope> Mailbox::receive_for(int context, int source, int tag,
     // Timed out. State flips only under mu_, which we hold: kPending here
     // means no deliverer claimed this entry, so withdrawing it is safe.
     posted_.erase(std::find(posted_.begin(), posted_.end(), &pr));
-    // Near-miss diagnosis: snapshot what WAS queued so the comm lint can
-    // say "right source, wrong tag" rather than just "timed out". The
-    // snapshot is taken under mu_ but the report runs after unlock — the
-    // collector's finding synthesis is slow, and holding mu_ across it
-    // would stall every sender into this mailbox.
-    bool report = false;
-    std::vector<analyze::MsgCoord> present;
-    int who = owner_;
-    if (analyze::active()) {
-      report = true;
-      present.reserve(total_queued_);
-      for (const auto& [key, bucket] : store_) {
-        for (const auto& m : bucket) present.push_back({m.source, m.tag, m.context});
-      }
-    }
-    lock.unlock();
-    if (report) analyze::on_mp_timeout(who, source, tag, context, present);
+    report_timeout(lock, context, source, tag);
     return std::nullopt;
   }
   if (pr.state.load(std::memory_order_acquire) == kPoisoned) {
@@ -362,6 +334,27 @@ std::optional<Envelope> Mailbox::receive_for(int context, int source, int tag,
   note_match_locked(pr.env, source, tag, context);
   *out = std::move(pr.env);
   return out;
+}
+
+void Mailbox::report_timeout(std::unique_lock<std::mutex>& lock, int context,
+                             int source, int tag) {
+  // Near-miss diagnosis: snapshot what WAS queued so the comm lint can say
+  // "right source, wrong tag" rather than just "timed out". The snapshot is
+  // taken under mu_ but the report runs after unlock — the collector's
+  // finding synthesis is slow, and holding mu_ across it would stall every
+  // sender into this mailbox.
+  if (!analyze::active()) {
+    lock.unlock();
+    return;
+  }
+  std::vector<analyze::MsgCoord> present;
+  present.reserve(total_queued_);
+  for (const auto& [key, bucket] : store_) {
+    for (const auto& m : bucket) present.push_back({m.source, m.tag, m.context});
+  }
+  const int who = owner_;
+  lock.unlock();
+  analyze::on_mp_timeout(who, source, tag, context, present);
 }
 
 std::optional<Envelope> Mailbox::try_receive(int context, int source, int tag) {

@@ -174,6 +174,11 @@ class Mailbox {
   /// analyze::on_mp_match + obs receive counters for a matched envelope;
   /// must run on the receiving thread (per-thread lanes, vector clocks).
   void note_match_locked(const Envelope& e, int source, int tag, int context);
+  /// A timed receive gave up: snapshots the queued coordinates under the
+  /// held \p lock (when analysis is on), unlocks, then reports the
+  /// near-miss to analyze::on_mp_timeout.
+  void report_timeout(std::unique_lock<std::mutex>& lock, int context, int source,
+                      int tag);
 
   mutable std::mutex mu_;
   /// Unexpected-message buckets. Buckets are *never erased* once created —

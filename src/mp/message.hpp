@@ -29,12 +29,6 @@ struct Envelope {
   /// table (see mp/rendezvous.hpp). RTS envelopes match like any tagged
   /// message, so non-overtaking is preserved across eager/rendezvous mixes.
   bool rts = false;
-  /// Segmented-collective header: the body is a CollSegHeader (total and
-  /// segment byte counts) and the actual data follows as segment messages
-  /// on the collective's companion segment tag. Receivers read the flag
-  /// *before* resolving the body, so a header may itself ride the
-  /// rendezvous path when the eager threshold is tiny.
-  bool coll_seg = false;
   std::uint64_t ack_id = 0;      ///< Ack key when wants_ack.
   std::uint64_t analyze_id = 0;  ///< pml::analyze delivery token (0 = off).
   std::uint64_t send_ns = 0;     ///< pml::obs delivery timestamp (0 = off).

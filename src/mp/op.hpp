@@ -21,9 +21,9 @@ namespace pml::mp {
 /// Construct your own for user-defined reductions; the combiner must be
 /// associative (MPI's requirement). The tree collectives combine in a
 /// deterministic rank order, so commutativity is *optional* — but the
-/// bandwidth-optimal algorithms (ring reduce-scatter, butterfly at
-/// non-power-of-two p) reorder operands and are only selected when
-/// `commutative` is set; otherwise they fall back to the tree.
+/// bandwidth-optimal ring algorithms reorder operands and are only
+/// selected when `commutative` is set; otherwise they fall back to the
+/// tree.
 template <typename T>
 struct Op {
   std::string name;

@@ -1,6 +1,5 @@
 #include "mp/runtime.hpp"
 
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <optional>
@@ -89,31 +88,6 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
     // body through the rendezvous) is meaningful.
     eager_bytes = static_cast<std::size_t>(*bytes);
   }
-  std::size_t coll_segment_bytes = kDefaultCollSegmentBytes;
-  if (options.coll_segment_bytes.has_value()) {
-    coll_segment_bytes = *options.coll_segment_bytes;
-  } else if (const auto bytes = env::u64("PML_MP_COLL_SEGMENT_BYTES")) {
-    // An explicit "0" disables segmentation and the ring auto-selection.
-    coll_segment_bytes = static_cast<std::size_t>(*bytes);
-  }
-  CollAlgorithm coll_algorithm = CollAlgorithm::kAuto;
-  if (options.coll_algorithm.has_value()) {
-    coll_algorithm = *options.coll_algorithm;
-  } else if (const char* env = std::getenv("PML_MP_COLL_ALGO")) {
-    const std::string algo(env);
-    if (algo == "auto") {
-      coll_algorithm = CollAlgorithm::kAuto;
-    } else if (algo == "tree") {
-      coll_algorithm = CollAlgorithm::kTree;
-    } else if (algo == "ring") {
-      coll_algorithm = CollAlgorithm::kRing;
-    } else if (algo == "butterfly") {
-      coll_algorithm = CollAlgorithm::kButterfly;
-    } else {
-      throw UsageError("PML_MP_COLL_ALGO must be auto|tree|ring|butterfly, got \"" +
-                       algo + "\"");
-    }
-  }
 
   // Checkpoint store: a process-wide ckpt::Scope (the runner's --ckpt)
   // wins; otherwise RunOptions::checkpoint_interval builds a job-local
@@ -147,8 +121,6 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
     state->start_time = pml::smp::wtime();
     state->collective_timeout = collective_timeout;
     state->eager_bytes = eager_bytes;
-    state->coll_segment_bytes = coll_segment_bytes;
-    state->coll_algorithm = coll_algorithm;
     state->ckpt_store = store;
 
     // Bind an active fault plan to this attempt's topology: node names in

@@ -35,23 +35,6 @@ namespace pml::mp {
 
 class Communicator;
 
-/// Which collective algorithm the dispatching entry points use. kAuto picks
-/// per call on (payload bytes, communicator size, op commutativity); the
-/// forced values exist for ablation benches and teaching exercises. Forcing
-/// an algorithm whose preconditions a call cannot meet (ring needs a
-/// commutative op; ring/segmentation need a vector body) falls back to the
-/// tree, so a forced run always computes the same result.
-enum class CollAlgorithm {
-  kAuto = 0,   ///< Select per call: bandwidth-optimal when it pays.
-  kTree,       ///< Binomial tree (latency-optimal; the paper's Fig. 19).
-  kRing,       ///< Ring reduce-scatter + allgather (bandwidth-optimal).
-  kButterfly,  ///< Recursive doubling.
-};
-
-/// Default segment threshold for the pipelined tree collectives, and the
-/// "large body" bar above which kAuto prefers the ring: 256 KiB.
-inline constexpr std::size_t kDefaultCollSegmentBytes = 256 * 1024;
-
 namespace detail {
 
 /// Process-global state of one message-passing job.
@@ -90,16 +73,6 @@ struct RuntimeState {
   /// their envelope. Resolved from RunOptions::eager_bytes or the
   /// PML_MP_EAGER_BYTES environment variable by run().
   std::size_t eager_bytes = kDefaultEagerBytes;
-
-  /// Segment threshold for pipelined broadcast/reduce, and kAuto's
-  /// large-body bar for preferring the ring allreduce. 0 disables both
-  /// (whole-body tree hops, tree-only auto selection). Resolved from
-  /// RunOptions::coll_segment_bytes or PML_MP_COLL_SEGMENT_BYTES by run().
-  std::size_t coll_segment_bytes = kDefaultCollSegmentBytes;
-
-  /// Forced collective algorithm for the dispatching collectives. Resolved
-  /// from RunOptions::coll_algorithm or PML_MP_COLL_ALGO by run().
-  CollAlgorithm coll_algorithm = CollAlgorithm::kAuto;
 
   /// Parked large-message buffers awaiting claim (ownership transfer).
   /// Drained at finalize so a lost RTS can never leak its body.
@@ -158,22 +131,6 @@ struct RunOptions {
   /// (8 KiB). Zero routes every non-empty body through the rendezvous;
   /// SIZE_MAX forces the pure eager path (the copy-cost ablation).
   std::optional<std::size_t> eager_bytes{};
-
-  /// Segment threshold in bytes for the pipelined tree collectives:
-  /// broadcast/reduce bodies whose encoding is larger than this are chopped
-  /// into segments that stream down the binomial tree, overlapping tree
-  /// depth with transfer. kAuto also uses it as the "large body" bar above
-  /// which a commutative vector allreduce takes the ring. Unset (the
-  /// default) defers to the PML_MP_COLL_SEGMENT_BYTES environment variable,
-  /// then to kDefaultCollSegmentBytes (256 KiB). Zero disables segmentation
-  /// *and* the ring auto-selection (forced overrides still apply).
-  std::optional<std::size_t> coll_segment_bytes{};
-
-  /// Forces a collective algorithm for the dispatching collectives
-  /// (allreduce and friends) — the ablation knob. Unset defers to the
-  /// PML_MP_COLL_ALGO environment variable ("auto", "tree", "ring",
-  /// "butterfly"), then to kAuto.
-  std::optional<CollAlgorithm> coll_algorithm{};
 
   /// Optional message trace: every delivered envelope is recorded as
   /// (task = source rank, kind = "message", key = destination rank,

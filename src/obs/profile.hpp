@@ -59,7 +59,7 @@ enum class Counter : std::uint8_t {
   kRdvBytes,           ///< Bytes claimed pointer-for-pointer (zero-copy).
   kRdvStale,           ///< Stale RTS envelopes skipped (dup/withdrawn).
   kPayloadBytesCopied, ///< Spilled-body bytes memcpy'd on the payload plane.
-  kCollSegments,       ///< Collective segments/blocks sent (ring, pipelined).
+  kCollSegments,       ///< Ring collective blocks sent.
   kCkptBytes,          ///< Serialized checkpoint-cut bytes committed.
   kCkptMicros,         ///< Microseconds spent sealing checkpoint cuts.
 };

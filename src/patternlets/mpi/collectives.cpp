@@ -2,7 +2,7 @@
 /// \brief Collective data-movement patternlets: Broadcast (scalar and
 /// array), Scatter, Gather (paper Figs. 25-28), and Allgather.
 
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -176,48 +176,35 @@ void register_collectives(Registry& registry) {
           "hold the full result — about 2n(p-1)/p values moved per rank, "
           "versus n*lg(p) for the tree.",
       .exercise =
-          "Run with -p ring=1 and -p ring=0 (tree) and compare the "
-          "'coll-segments' and bytes numbers (or leave the param off and "
-          "switch with PML_MP_COLL_ALGO). At what vector size does the "
-          "ring's lower per-rank traffic beat the tree's lower round count? "
-          "Why does the ring require a commutative operation when the tree "
-          "does not?",
+          "Run with -p ring=1 and -p ring=0 (tree) under --profile and "
+          "compare the 'msgs-sent' and bytes numbers. At what vector size "
+          "does the ring's lower per-rank traffic beat the tree's lower "
+          "round count? Why does the ring require a commutative operation "
+          "when the tree does not?",
       .toggles = {},
       .default_tasks = 4,
       .body =
           [](RunContext& ctx) {
             const long n = ctx.param("n", 64);
-            pml::mp::RunOptions opts;
-            // Precedence: -p ring= forces the algorithm; else an exported
-            // PML_MP_COLL_ALGO decides (an explicit RunOptions value would
-            // outrank the environment, so stay unset); else the slug's
-            // namesake ring — kAuto would pick the tree at teaching sizes.
-            if (ctx.params.count("ring") != 0) {
-              opts.coll_algorithm = ctx.param("ring", 1) != 0
-                                        ? pml::mp::CollAlgorithm::kRing
-                                        : pml::mp::CollAlgorithm::kTree;
-            } else if (std::getenv("PML_MP_COLL_ALGO") == nullptr) {
-              opts.coll_algorithm = pml::mp::CollAlgorithm::kRing;
-            }
-            pml::mp::run(
-                ctx.tasks,
-                [&](pml::mp::Communicator& comm) {
-                  const int rank = comm.rank();
-                  const int p = comm.size();
-                  std::vector<int> mine(static_cast<std::size_t>(n), rank + 1);
-                  const std::vector<int> total =
-                      comm.allreduce(std::move(mine), pml::mp::op_sum<int>());
-                  // Every element is 1 + 2 + ... + p.
-                  const int want = p * (p + 1) / 2;
-                  bool ok = true;
-                  for (int x : total) ok = ok && (x == want);
-                  ctx.out.say(rank, "Process " + std::to_string(rank) + ": " +
-                                        std::to_string(n) + " elements, all = " +
-                                        std::to_string(total.empty() ? 0 : total[0]) +
-                                        (ok ? " (correct)" : " (WRONG)"),
-                              ok ? "OK" : "WRONG");
-                },
-                opts);
+            const bool ring = ctx.param("ring", 1) != 0;
+            pml::mp::run(ctx.tasks, [&](pml::mp::Communicator& comm) {
+              const int rank = comm.rank();
+              const int p = comm.size();
+              std::vector<int> mine(static_cast<std::size_t>(n), rank + 1);
+              const auto sum = pml::mp::op_sum<int>();
+              const std::vector<int> total =
+                  ring ? comm.ring_allreduce(std::move(mine), sum)
+                       : comm.broadcast(comm.reduce(std::move(mine), sum, 0), 0);
+              // Every element is 1 + 2 + ... + p.
+              const int want = p * (p + 1) / 2;
+              bool ok = true;
+              for (int x : total) ok = ok && (x == want);
+              ctx.out.say(rank, "Process " + std::to_string(rank) + ": " +
+                                    std::to_string(n) + " elements, all = " +
+                                    std::to_string(total.empty() ? 0 : total[0]) +
+                                    (ok ? " (correct)" : " (WRONG)"),
+                          ok ? "OK" : "WRONG");
+            });
           },
       .beyond_paper = true,
   });
@@ -228,50 +215,65 @@ void register_collectives(Registry& registry) {
       .tech = Tech::kMPI,
       .patterns = {"Broadcast", "Pipeline", "Collective Communication"},
       .summary =
-          "Beyond the paper: a pipelined tree broadcast. A large body is "
-          "chopped into fixed-size segments that stream down the binomial "
-          "tree, so an inner rank forwards segment k to its children while "
-          "segment k+1 is still in flight — overlapping tree depth with "
-          "transfer instead of paying lg(p) full-body hops in series.",
+          "Beyond the paper: a pipelined broadcast built from plain send and "
+          "recv. Rank 0 chops a large body into fixed-size segments and "
+          "streams them down a chain of ranks; rank r forwards segment k to "
+          "r+1 while segment k+1 is still on its way from r-1, so every link "
+          "carries data at once instead of the whole body crossing the "
+          "links one after another.",
       .exercise =
-          "Run with -p segment=64 and -p segment=0 (segmentation off) and "
-          "compare the 'coll-segments' counter. With p ranks, segment size s "
-          "and body size m, how many steps does the whole-body tree take, "
-          "and how many does the pipeline take? When is the pipeline faster?",
+          "Run with -p segment=64 and -p segment=0 (one whole-body message) "
+          "under --profile and compare the 'msgs-sent' counter. With p "
+          "ranks, segment size s and body size m, how many steps does the "
+          "whole-body chain take, and how many does the pipeline take? When "
+          "is the pipeline faster?",
       .toggles = {},
       .default_tasks = 4,
       .body =
           [](RunContext& ctx) {
             const long n = ctx.param("n", 64);
             const long segment = ctx.param("segment", 64);
-            pml::mp::RunOptions opts;
-            opts.coll_segment_bytes = static_cast<std::size_t>(segment);
-            pml::mp::run(
-                ctx.tasks,
-                [&](pml::mp::Communicator& comm) {
-                  const int rank = comm.rank();
-                  std::vector<int> data(static_cast<std::size_t>(n), 0);
-                  if (rank == 0) {
-                    for (std::size_t i = 0; i < data.size(); ++i) {
-                      data[i] = static_cast<int>(i);
-                    }
-                  }
-                  data = comm.broadcast(data, 0);
-                  bool ok = true;
-                  for (std::size_t i = 0; i < data.size(); ++i) {
-                    ok = ok && (data[i] == static_cast<int>(i));
-                  }
-                  const long bytes = n * static_cast<long>(sizeof(int));
-                  const long segs =
-                      segment > 0 ? (bytes + segment - 1) / segment : 1;
-                  ctx.out.say(rank, "Process " + std::to_string(rank) +
-                                        " received " + std::to_string(bytes) +
-                                        " bytes as " + std::to_string(segs) +
-                                        " segment(s)" +
-                                        (ok ? "" : " (CORRUPT)"),
-                              ok ? "OK" : "WRONG");
-                },
-                opts);
+            // Whole ints per segment, at least one; segment <= 0 sends the
+            // body as a single message.
+            const auto per = static_cast<std::size_t>(
+                std::max(1L, segment > 0 ? segment / static_cast<long>(sizeof(int)) : n));
+            pml::mp::run(ctx.tasks, [&](pml::mp::Communicator& comm) {
+              const int rank = comm.rank();
+              const int p = comm.size();
+              std::vector<int> data(static_cast<std::size_t>(n), 0);
+              if (rank == 0) {
+                for (std::size_t i = 0; i < data.size(); ++i) {
+                  data[i] = static_cast<int>(i);
+                }
+              }
+              // The pipeline: take each segment from the left neighbour and
+              // pass it on to the right before taking the next one.
+              long segs = 0;
+              for (std::size_t off = 0; off < data.size(); off += per, ++segs) {
+                const std::size_t len = std::min(per, data.size() - off);
+                const auto first = data.begin() + static_cast<std::ptrdiff_t>(off);
+                if (rank > 0) {
+                  // Bounded copy: a piece duplicated by fault injection may
+                  // be longer than the last slot; the check below flags it.
+                  const auto piece = comm.recv<std::vector<int>>(rank - 1, 0);
+                  std::copy_n(piece.begin(), std::min(len, piece.size()), first);
+                }
+                if (rank + 1 < p) {
+                  comm.send(std::vector<int>(first, first + static_cast<std::ptrdiff_t>(len)),
+                            rank + 1, 0);
+                }
+              }
+              bool ok = true;
+              for (std::size_t i = 0; i < data.size(); ++i) {
+                ok = ok && (data[i] == static_cast<int>(i));
+              }
+              const long bytes = n * static_cast<long>(sizeof(int));
+              ctx.out.say(rank, "Process " + std::to_string(rank) + " received " +
+                                    std::to_string(bytes) + " bytes as " +
+                                    std::to_string(segs) + " segment(s)" +
+                                    (ok ? "" : " (CORRUPT)"),
+                          ok ? "OK" : "WRONG");
+            });
           },
       .beyond_paper = true,
   });

@@ -173,6 +173,21 @@ TEST(CkptSnapshot, BadMagicThrows) {
   EXPECT_THROW(decode(bytes), UsageError);
 }
 
+TEST(CkptSnapshot, UnknownVersionThrows) {
+  std::vector<std::byte> bytes = encode(sample_cut());
+  // The little-endian u32 version follows the 8-byte magic. Version 1 is
+  // the older envelope layout, which this reader no longer parses.
+  bytes[8] = std::byte{1};
+  bytes[9] = bytes[10] = bytes[11] = std::byte{0};
+  try {
+    (void)decode(bytes);
+    FAIL() << "a version-1 snapshot decoded";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CkptSnapshot, SaveLoadRoundTripsThroughAFile) {
   const std::string path = ::testing::TempDir() + "pml_ckpt_roundtrip.pmlckpt";
   const GlobalCut cut = sample_cut();

@@ -1,18 +1,21 @@
 /// \file coll_equivalence_test.cpp
-/// \brief Property tests for the bandwidth-optimal collective tier: every
-/// algorithm (tree, ring, butterfly, segmented) computes the same answer,
-/// non-commutative ops fall back safely, ragged contributions fail loudly
-/// instead of hanging, and the ring's copy count is exact — all swept under
+/// \brief Property tests for the bandwidth-optimal collective tier: the
+/// tree, the ring and the automatic allreduce compute the same answer, the
+/// allreduce rule picks the ring exactly where it says, non-commutative ops
+/// fall back safely, ragged contributions fail loudly instead of hanging,
+/// and the ring's and the tree's copy counts are exact — all swept under
 /// scheduler chaos and fault injection.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/trace.hpp"
 #include "fault/fault.hpp"
 #include "mp/mp.hpp"
 #include "obs/obs.hpp"
@@ -28,13 +31,6 @@ std::uint64_t total(const obs::Profile& p, obs::Counter c) {
   std::uint64_t sum = 0;
   for (const auto& [task, metrics] : p.tasks) sum += metrics.value(c);
   return sum;
-}
-
-RunOptions forced(CollAlgorithm algo, std::size_t segment_bytes = 0) {
-  RunOptions opts;
-  opts.coll_algorithm = algo;
-  opts.coll_segment_bytes = segment_bytes;
-  return opts;
 }
 
 /// Rank r contributes [r*1000, r*1000 + n) so every element of the
@@ -56,43 +52,74 @@ std::vector<std::int64_t> expected_sum(int np, std::size_t n) {
   return want;
 }
 
-/// Runs a forced-algorithm vector allreduce and returns every rank's result.
-std::vector<std::vector<std::int64_t>> allreduce_with(int np, std::size_t n,
-                                                      const RunOptions& opts) {
+/// The three ways to allreduce a vector: the tree and the ring by name,
+/// and the automatic rule.
+enum class Path { kTree, kRing, kAuto };
+
+const char* name(Path path) {
+  switch (path) {
+    case Path::kTree: return "tree";
+    case Path::kRing: return "ring";
+    case Path::kAuto: return "auto";
+  }
+  return "?";
+}
+
+/// Runs a vector allreduce along \p path and returns every rank's result.
+std::vector<std::vector<std::int64_t>> allreduce_with(int np, std::size_t n, Path path,
+                                                      const RunOptions& opts = {}) {
   std::vector<std::vector<std::int64_t>> got(static_cast<std::size_t>(np));
   run(
       np,
       [&](Communicator& comm) {
-        got[static_cast<std::size_t>(comm.rank())] =
-            comm.allreduce(contribution(comm.rank(), n), op_sum<std::int64_t>());
+        const auto op = op_sum<std::int64_t>();
+        std::vector<std::int64_t> mine = contribution(comm.rank(), n);
+        std::vector<std::int64_t>& out = got[static_cast<std::size_t>(comm.rank())];
+        switch (path) {
+          case Path::kTree:
+            out = comm.broadcast(comm.reduce(std::move(mine), op, 0), 0);
+            break;
+          case Path::kRing:
+            out = comm.ring_allreduce(std::move(mine), op);
+            break;
+          case Path::kAuto:
+            out = comm.allreduce(std::move(mine), op);
+            break;
+        }
       },
       opts);
   return got;
 }
 
+// Test names kept from before the butterfly and the segmented tree were
+// removed: the sweep compares the tree, the ring and the automatic
+// allreduce.
 class CollEquivalenceSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CollEquivalenceSweep, RingButterflyTreeAndSegmentedAgree) {
   const int np = GetParam();
   // Sizes straddle everything interesting: empty blocks (n < p), ragged
-  // blocks (n % p != 0), and multi-element blocks.
+  // blocks (n % p != 0), multi-element blocks, and a body exactly at the
+  // ring bar, where the automatic allreduce switches to the ring.
+  const std::size_t at_bar = Communicator::kRingAllreduceBytes / sizeof(std::int64_t);
   for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
-                              std::size_t{130}}) {
+                              std::size_t{130}, at_bar}) {
     const std::vector<std::int64_t> want = expected_sum(np, n);
-    for (const CollAlgorithm algo :
-         {CollAlgorithm::kTree, CollAlgorithm::kRing, CollAlgorithm::kButterfly}) {
-      const auto got = allreduce_with(np, n, forced(algo));
+    for (const Path path : {Path::kTree, Path::kRing, Path::kAuto}) {
+      const auto got = allreduce_with(np, n, path);
       for (int r = 0; r < np; ++r) {
         EXPECT_EQ(got[static_cast<std::size_t>(r)], want)
-            << "algo=" << static_cast<int>(algo) << " np=" << np << " n=" << n
-            << " rank=" << r;
+            << "path=" << name(path) << " np=" << np << " n=" << n << " rank=" << r;
       }
     }
-    // Segmented tree: tiny segments force multi-segment pipelines.
-    const auto got = allreduce_with(np, n, forced(CollAlgorithm::kTree, 16));
+    // A tiny eager threshold sends every tree hop above it: the reduce and
+    // the broadcast ship their copies by ownership transfer.
+    RunOptions rendezvous;
+    rendezvous.eager_bytes = 16;
+    const auto got = allreduce_with(np, n, Path::kTree, rendezvous);
     for (int r = 0; r < np; ++r) {
       EXPECT_EQ(got[static_cast<std::size_t>(r)], want)
-          << "segmented np=" << np << " n=" << n << " rank=" << r;
+          << "rendezvous tree np=" << np << " n=" << n << " rank=" << r;
     }
   }
 }
@@ -103,19 +130,20 @@ TEST_P(CollEquivalenceSweep, AgreementHoldsUnderChaosSchedules) {
   const std::vector<std::int64_t> want = expected_sum(np, n);
   for (const unsigned seed : {1u, 7u, 42u}) {
     sched::ChaosScope chaos{seed};
-    for (const CollAlgorithm algo :
-         {CollAlgorithm::kTree, CollAlgorithm::kRing, CollAlgorithm::kButterfly}) {
-      const auto got = allreduce_with(np, n, forced(algo));
+    for (const Path path : {Path::kTree, Path::kRing, Path::kAuto}) {
+      const auto got = allreduce_with(np, n, path);
       for (int r = 0; r < np; ++r) {
         EXPECT_EQ(got[static_cast<std::size_t>(r)], want)
-            << "seed=" << seed << " algo=" << static_cast<int>(algo)
-            << " np=" << np << " rank=" << r;
+            << "seed=" << seed << " path=" << name(path) << " np=" << np
+            << " rank=" << r;
       }
     }
-    const auto got = allreduce_with(np, n, forced(CollAlgorithm::kTree, 16));
+    RunOptions rendezvous;
+    rendezvous.eager_bytes = 16;
+    const auto got = allreduce_with(np, n, Path::kTree, rendezvous);
     for (int r = 0; r < np; ++r) {
       EXPECT_EQ(got[static_cast<std::size_t>(r)], want)
-          << "segmented seed=" << seed << " np=" << np << " rank=" << r;
+          << "rendezvous tree seed=" << seed << " np=" << np << " rank=" << r;
     }
   }
 }
@@ -125,8 +153,7 @@ INSTANTIATE_TEST_SUITE_P(ProcessCounts, CollEquivalenceSweep,
 
 // ---------------------------------------------------------------------------
 // Non-commutative ops: the ring reorders operands, so it must refuse and
-// fall back to the (rank-ordered) tree — including at non-power-of-two p,
-// where the butterfly's fold-in step would also reorder.
+// fall back to the (rank-ordered) tree.
 
 /// 2x2 integer matrices under multiplication: associative, NOT commutative.
 struct M2 {
@@ -156,36 +183,16 @@ M2 sequential_product(int np) {
 }
 
 TEST(CollNonCommutative, ForcedRingFallsBackToRankOrderedTree) {
-  for (const int np : {3, 5, 7}) {  // non-powers-of-two
+  for (const int np : {3, 5, 7}) {
     const M2 want = sequential_product(np);
     std::vector<std::vector<M2>> got(static_cast<std::size_t>(np));
-    run(
-        np,
-        [&](Communicator& comm) {
-          got[static_cast<std::size_t>(comm.rank())] = comm.allreduce(
-              std::vector<M2>{rank_matrix(comm.rank())}, matmul());
-        },
-        forced(CollAlgorithm::kRing));
+    run(np, [&](Communicator& comm) {
+      got[static_cast<std::size_t>(comm.rank())] = comm.ring_allreduce(
+          std::vector<M2>{rank_matrix(comm.rank())}, matmul());
+    });
     for (int r = 0; r < np; ++r) {
       ASSERT_EQ(got[static_cast<std::size_t>(r)].size(), 1u);
       EXPECT_TRUE(got[static_cast<std::size_t>(r)][0] == want)
-          << "np=" << np << " rank=" << r;
-    }
-  }
-}
-
-TEST(CollNonCommutative, ButterflyFallsBackAtNonPowerOfTwoP) {
-  for (const int np : {3, 5}) {
-    const M2 want = sequential_product(np);
-    std::vector<M2> got(static_cast<std::size_t>(np));
-    run(
-        np,
-        [&](Communicator& comm) {
-          got[static_cast<std::size_t>(comm.rank())] =
-              comm.butterfly_allreduce(rank_matrix(comm.rank()), matmul());
-        });
-    for (int r = 0; r < np; ++r) {
-      EXPECT_TRUE(got[static_cast<std::size_t>(r)] == want)
           << "np=" << np << " rank=" << r;
     }
   }
@@ -210,17 +217,15 @@ TEST(CollNonCommutative, ReduceScatterRoutesNonCommutativeViaTree) {
 // ---------------------------------------------------------------------------
 // Ragged contributions: different lengths across ranks are a usage bug and
 // must surface as UsageError on every new primitive — never a hang, never a
-// silently wrong answer. The mismatch is staged across the segmentation
-// threshold too, where one rank segments and its peer does not.
+// silently wrong answer.
 
 TEST(CollRagged, RingAllreduceThrowsUsageError) {
   EXPECT_THROW(run(4,
                    [](Communicator& comm) {
                      const std::size_t n = comm.rank() == 2 ? 44u : 40u;
-                     (void)comm.allreduce(contribution(comm.rank(), n),
-                                          op_sum<std::int64_t>());
-                   },
-                   forced(CollAlgorithm::kRing)),
+                     (void)comm.ring_allreduce(contribution(comm.rank(), n),
+                                               op_sum<std::int64_t>());
+                   }),
                UsageError);
 }
 
@@ -231,32 +236,6 @@ TEST(CollRagged, ReduceScatterThrowsUsageError) {
                      (void)comm.reduce_scatter(contribution(comm.rank(), n),
                                                op_sum<std::int64_t>());
                    }),
-               UsageError);
-}
-
-TEST(CollRagged, SegmentedReduceThrowsAcrossTheSegmentationThreshold) {
-  // segment = 64 bytes = 8 int64s: rank 1's 4-element body stays whole
-  // while everyone else segments — the header protocol must diagnose the
-  // mismatch instead of interleaving segment and non-segment messages.
-  EXPECT_THROW(run(4,
-                   [](Communicator& comm) {
-                     const std::size_t n = comm.rank() == 1 ? 4u : 40u;
-                     (void)comm.reduce(contribution(comm.rank(), n),
-                                       op_sum<std::int64_t>(), 0);
-                   },
-                   forced(CollAlgorithm::kTree, 64)),
-               UsageError);
-}
-
-TEST(CollRagged, SegmentedReduceThrowsOnSegmentedLengthMismatch) {
-  // Both sides segment, totals differ: the headers disagree.
-  EXPECT_THROW(run(4,
-                   [](Communicator& comm) {
-                     const std::size_t n = comm.rank() == 3 ? 48u : 40u;
-                     (void)comm.reduce(contribution(comm.rank(), n),
-                                       op_sum<std::int64_t>(), 0);
-                   },
-                   forced(CollAlgorithm::kTree, 64)),
                UsageError);
 }
 
@@ -271,18 +250,14 @@ TEST(CollCopyAccounting, SixteenMiBRingAllreduceCopiesExactlyPPlus1N) {
   static constexpr int kNp = 4;
   static constexpr std::size_t kElems = (16u << 20) / sizeof(std::int64_t);  // 16 MiB
   obs::Scope scope;
-  run(
-      kNp,
-      [](Communicator& comm) {
-        std::vector<std::int64_t> v(kElems,
-                                    static_cast<std::int64_t>(comm.rank()));
-        const auto out = comm.allreduce(std::move(v), op_sum<std::int64_t>());
-        // Spot-check: every element is 0+1+2+3.
-        ASSERT_EQ(out.size(), kElems);
-        EXPECT_EQ(out.front(), 6);
-        EXPECT_EQ(out.back(), 6);
-      },
-      forced(CollAlgorithm::kRing));
+  run(kNp, [](Communicator& comm) {
+    std::vector<std::int64_t> v(kElems, static_cast<std::int64_t>(comm.rank()));
+    const auto out = comm.ring_allreduce(std::move(v), op_sum<std::int64_t>());
+    // Spot-check: every element is 0+1+2+3.
+    ASSERT_EQ(out.size(), kElems);
+    EXPECT_EQ(out.front(), 6);
+    EXPECT_EQ(out.back(), 6);
+  });
   const obs::Profile p = scope.finish();
   const std::uint64_t n_bytes = kElems * sizeof(std::int64_t);
   EXPECT_EQ(total(p, obs::Counter::kPayloadBytesCopied), (kNp + 1) * n_bytes);
@@ -291,17 +266,106 @@ TEST(CollCopyAccounting, SixteenMiBRingAllreduceCopiesExactlyPPlus1N) {
             static_cast<std::uint64_t>(2 * kNp * (kNp - 1)));
 }
 
+// Tree hops above the eager threshold: each of the p-1 hops ships one copy
+// of the sender's value (a reduce's subtree partial, a broadcast's body) by
+// ownership transfer and the receiver claims it without a decode, so a
+// vector reduce or broadcast copies (p-1) * N bytes across ranks, exactly.
+
+TEST(CollCopyAccounting, TreeReduceCopiesExactlyPMinus1N) {
+  static constexpr int kNp = 4;
+  for (const std::size_t n_bytes : {std::size_t{64} << 10, std::size_t{16} << 20}) {
+    const std::size_t elems = n_bytes / sizeof(std::int64_t);
+    obs::Scope scope;
+    run(kNp, [elems](Communicator& comm) {
+      std::vector<std::int64_t> v(elems, static_cast<std::int64_t>(comm.rank()));
+      const auto out = comm.reduce(std::move(v), op_sum<std::int64_t>(), 0);
+      ASSERT_EQ(out.size(), elems);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(out.front(), 6);
+        EXPECT_EQ(out.back(), 6);
+      }
+    });
+    const obs::Profile p = scope.finish();
+    EXPECT_EQ(total(p, obs::Counter::kPayloadBytesCopied), (kNp - 1) * n_bytes)
+        << "N=" << n_bytes;
+  }
+}
+
+TEST(CollCopyAccounting, TreeBroadcastCopiesExactlyPMinus1N) {
+  static constexpr int kNp = 4;
+  for (const std::size_t n_bytes : {std::size_t{64} << 10, std::size_t{16} << 20}) {
+    const std::size_t elems = n_bytes / sizeof(std::int64_t);
+    obs::Scope scope;
+    run(kNp, [elems](Communicator& comm) {
+      std::vector<std::int64_t> v;
+      if (comm.rank() == 0) v.assign(elems, 7);
+      const auto out = comm.broadcast(std::move(v), 0);
+      ASSERT_EQ(out.size(), elems);
+      EXPECT_EQ(out.front(), 7);
+      EXPECT_EQ(out.back(), 7);
+    });
+    const obs::Profile p = scope.finish();
+    EXPECT_EQ(total(p, obs::Counter::kPayloadBytesCopied), (kNp - 1) * n_bytes)
+        << "N=" << n_bytes;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Fault interplay: a segmented broadcast where every message (headers
-// included) rides the rendezvous path, and ring/segmented collectives under
-// drop and crash faults with a collective timeout — degrade loudly, never
-// hang.
+// The allreduce rule, pinned by message counts at p = 4: the ring sends
+// 2p(p-1) block messages, the tree (reduce + broadcast) 2(p-1) bodies.
+
+std::size_t allreduce_messages(const std::function<void(Communicator&)>& body) {
+  pml::Trace trace;
+  RunOptions opts;
+  opts.message_trace = &trace;
+  run(4, body, opts);
+  return trace.events("message").size();
+}
+
+TEST(CollAllreduceRule, CommutativeVectorAtTheBarTakesTheRing) {
+  const std::size_t n = Communicator::kRingAllreduceBytes / sizeof(std::int64_t);
+  ASSERT_EQ(n * sizeof(std::int64_t), std::size_t{256} << 10);
+  const auto messages = allreduce_messages([n](Communicator& comm) {
+    const auto out = comm.allreduce(contribution(comm.rank(), n), op_sum<std::int64_t>());
+    EXPECT_EQ(out, expected_sum(4, n));
+  });
+  EXPECT_EQ(messages, 2u * 4u * 3u);
+}
+
+TEST(CollAllreduceRule, EightBytesBelowTheBarTakesTheTree) {
+  const std::size_t n = Communicator::kRingAllreduceBytes / sizeof(std::int64_t) - 1;
+  const auto messages = allreduce_messages([n](Communicator& comm) {
+    const auto out = comm.allreduce(contribution(comm.rank(), n), op_sum<std::int64_t>());
+    EXPECT_EQ(out, expected_sum(4, n));
+  });
+  EXPECT_EQ(messages, 2u * 3u);
+}
+
+TEST(CollAllreduceRule, NonCommutativeOpTakesTheTreeAtOneMiB) {
+  const std::size_t n = (std::size_t{1} << 20) / sizeof(M2);
+  const M2 want = sequential_product(4);
+  const auto messages = allreduce_messages([n, want](Communicator& comm) {
+    const auto out =
+        comm.allreduce(std::vector<M2>(n, rank_matrix(comm.rank())), matmul());
+    ASSERT_EQ(out.size(), n);
+    EXPECT_TRUE(out.front() == want);
+    EXPECT_TRUE(out.back() == want);
+  });
+  EXPECT_EQ(messages, 2u * 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Fault interplay: a tree broadcast where every message rides the
+// rendezvous path, and ring/tree collectives under drop and crash faults
+// with a collective timeout — degrade loudly, never hang. (The Segmented*
+// names predate the removal of the segmented tree; the tests keep their
+// fault setups on the whole-body tree.)
 
 TEST(CollFaults, SegmentedBroadcastSurvivesTinyEagerThresholdUnderChaos) {
   for (const unsigned seed : {1u, 7u, 42u}) {
     sched::ChaosScope chaos{seed};
-    RunOptions opts = forced(CollAlgorithm::kTree, 64);
-    opts.eager_bytes = 1;  // every header and segment becomes an RTS
+    RunOptions opts;
+    opts.eager_bytes = 1;  // every hop becomes an RTS
     std::vector<std::vector<std::int64_t>> got(4);
     run(
         4,
@@ -320,12 +384,12 @@ TEST(CollFaults, SegmentedBroadcastSurvivesTinyEagerThresholdUnderChaos) {
 
 TEST(CollFaults, RingAllreduceWithDropTimesOutInsteadOfHanging) {
   fault::FaultScope faults{fault::FaultPlan::parse("drop:1")};
-  RunOptions opts = forced(CollAlgorithm::kRing);
+  RunOptions opts;
   opts.collective_timeout = 200ms;
   EXPECT_THROW(run(4,
                    [](Communicator& comm) {
-                     (void)comm.allreduce(contribution(comm.rank(), 64),
-                                          op_sum<std::int64_t>());
+                     (void)comm.ring_allreduce(contribution(comm.rank(), 64),
+                                               op_sum<std::int64_t>());
                    },
                    opts),
                RuntimeFault);
@@ -333,7 +397,7 @@ TEST(CollFaults, RingAllreduceWithDropTimesOutInsteadOfHanging) {
 
 TEST(CollFaults, SegmentedReduceWithNodeCrashDegradesLoudly) {
   fault::FaultScope faults{fault::FaultPlan::parse("crash:node-02@0")};
-  RunOptions opts = forced(CollAlgorithm::kTree, 64);
+  RunOptions opts;
   opts.cluster = Cluster(2, 4, Placement::kRoundRobin);  // node-02: odd ranks
   opts.collective_timeout = 200ms;
   EXPECT_THROW(run(4,

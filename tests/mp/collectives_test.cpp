@@ -86,19 +86,6 @@ TEST_P(CollectiveSweep, ReducePaperExampleSumAndMaxOfSquares) {
   EXPECT_EQ(max.load(), np * np);
 }
 
-TEST_P(CollectiveSweep, ButterflyAllreduceMatchesAllreduce) {
-  const int np = GetParam();
-  std::atomic<int> correct{0};
-  run(np, [&](Communicator& comm) {
-    const long mine = static_cast<long>(comm.rank() + 1) * 7;
-    const long classic = comm.allreduce(mine, op_sum<long>());
-    const long butterfly = comm.butterfly_allreduce(mine, op_sum<long>());
-    const long bf_max = comm.butterfly_allreduce(mine, op_max<long>());
-    if (classic == butterfly && bf_max == static_cast<long>(np) * 7) ++correct;
-  });
-  EXPECT_EQ(correct.load(), np);
-}
-
 TEST_P(CollectiveSweep, AllreduceGivesEveryoneTheResult) {
   const int np = GetParam();
   std::atomic<int> correct{0};

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <vector>
 
 #include "core/error.hpp"
 #include "mp/mp.hpp"
@@ -96,6 +98,19 @@ TEST(Validation, VectorReduceLengthMismatchFails) {
                      (void)comm.reduce(mine, op_sum<int>(), 0);
                    }),
                UsageError);
+  // p = 4: interior rank 2 (it folds in rank 3 before sending to rank 0)
+  // contributes a different length, with hops below and above the eager
+  // threshold.
+  for (const std::size_t n : {std::size_t{40}, std::size_t{4096}}) {
+    EXPECT_THROW(run(4,
+                     [n](Communicator& comm) {
+                       const std::vector<std::int64_t> mine(
+                           comm.rank() == 2 ? n + 4 : n, 1);
+                       (void)comm.reduce(mine, op_sum<std::int64_t>(), 0);
+                     }),
+                 UsageError)
+        << "n=" << n;
+  }
 }
 
 }  // namespace

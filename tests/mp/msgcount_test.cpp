@@ -1,8 +1,8 @@
 /// \file msgcount_test.cpp
 /// \brief Communication-complexity tests: with the message trace enabled,
 /// the exact message counts of each collective algorithm are asserted —
-/// the structural half of the tree-vs-flat and classic-vs-butterfly
-/// ablations, independent of wall-clock noise.
+/// the structural half of the tree-vs-flat and tree-vs-ring ablations,
+/// independent of wall-clock noise.
 
 #include <gtest/gtest.h>
 
@@ -81,39 +81,15 @@ TEST_P(MsgCountSweep, RingAllreduceUses2PTimesPMinus1Messages) {
   // step: 2p(p-1) messages — more than the tree's 2(p-1), but each carries
   // only an N/p-sized block (the bandwidth-for-messages trade).
   const int np = GetParam();
-  RunOptions opts;
-  opts.coll_algorithm = CollAlgorithm::kRing;
-  const auto n = messages_of(
-      np,
-      [np](Communicator& comm) {
-        std::vector<int> v(static_cast<std::size_t>(np) * 2, comm.rank());
-        (void)comm.allreduce(std::move(v), op_sum<int>());
-      },
-      opts);
+  const auto n = messages_of(np, [np](Communicator& comm) {
+    std::vector<int> v(static_cast<std::size_t>(np) * 2, comm.rank());
+    (void)comm.ring_allreduce(std::move(v), op_sum<int>());
+  });
   if (np > 1) {
     EXPECT_EQ(n, 2u * static_cast<std::size_t>(np) * static_cast<std::size_t>(np - 1));
   } else {
     EXPECT_EQ(n, 0u);
   }
-}
-
-TEST(MsgCount, SegmentedBroadcastSendsHeaderPlusSegmentsPerEdge) {
-  // p-1 tree edges; each carries one header plus ceil(bytes/segment)
-  // segment messages.
-  const int np = 4;
-  const std::size_t elems = 32;  // 128 bytes of int
-  const std::size_t seg_bytes = 32;
-  RunOptions opts;
-  opts.coll_segment_bytes = seg_bytes;
-  const auto n = messages_of(
-      np,
-      [elems](Communicator& comm) {
-        std::vector<int> v(elems, comm.rank());
-        (void)comm.broadcast(v, 0);
-      },
-      opts);
-  const std::size_t segments = (elems * sizeof(int) + seg_bytes - 1) / seg_bytes;
-  EXPECT_EQ(n, static_cast<std::size_t>(np - 1) * (1 + segments));
 }
 
 TEST_P(MsgCountSweep, AlltoallUsesPTimesPMinus1Messages) {
@@ -127,26 +103,6 @@ TEST_P(MsgCountSweep, AlltoallUsesPTimesPMinus1Messages) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcessCounts, MsgCountSweep, ::testing::Values(2, 3, 4, 5, 8));
-
-TEST(MsgCount, ButterflyTradesMessagesForRounds) {
-  // Power-of-two p: butterfly sends p*lg p messages (vs classic's 2(p-1))
-  // but completes in lg p rounds (vs 2*lg p). More traffic, fewer rounds.
-  for (int np : {2, 4, 8}) {
-    const auto n = messages_of(np, [](Communicator& comm) {
-      (void)comm.butterfly_allreduce(comm.rank(), op_sum<int>());
-    });
-    EXPECT_EQ(n, static_cast<std::size_t>(np) * static_cast<std::size_t>(ceil_log2(np)))
-        << np;
-  }
-}
-
-TEST(MsgCount, ButterflyNonPowerOfTwoAddsFoldMessages) {
-  // p = 5: 1 extra rank folds in (1 down + 1 result back) + 4*lg 4 butterfly.
-  const auto n = messages_of(5, [](Communicator& comm) {
-    (void)comm.butterfly_allreduce(comm.rank(), op_sum<int>());
-  });
-  EXPECT_EQ(n, 2u + 4u * 2u);
-}
 
 TEST(MsgCount, SendrecvIsTwoMessages) {
   const auto n = messages_of(2, [](Communicator& comm) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -276,6 +277,36 @@ TEST_F(MpiPatternlets, Reduction2ElementwiseAndMaxloc) {
   EXPECT_NE(r.output_str().find("Elementwise sums: 6 12 18"), std::string::npos);
   EXPECT_NE(r.output_str().find("Largest contribution 9 came from process 3"),
             std::string::npos);
+}
+
+TEST_F(MpiPatternlets, SegmentedBcastPipelineDeliversTheArrayWithItsOwnMessages) {
+  // The default body is 64 ints = 256 bytes; segment 0 sends it whole. The
+  // chain pipeline sends every segment once over each of the p-1 links, and
+  // nothing else moves in the job.
+  for (const int tasks : {1, 2, 3, 4}) {
+    for (const long segment : {0L, 16L, 64L}) {
+      RunSpec spec;
+      spec.tasks = tasks;
+      spec.profile = true;
+      spec.params = {{"segment", segment}};
+      const RunResult r = run("mpi/segmentedBcast", spec);
+      const long segs = segment == 0 ? 1 : 256 / segment;
+      ASSERT_EQ(r.output.size(), static_cast<std::size_t>(tasks));
+      for (const auto& line : r.output) {
+        EXPECT_EQ(line.text, "Process " + std::to_string(line.task) +
+                                 " received 256 bytes as " + std::to_string(segs) +
+                                 " segment(s)")
+            << "tasks=" << tasks << " segment=" << segment;
+      }
+      ASSERT_TRUE(r.metrics.has_value());
+      std::uint64_t sent = 0;
+      for (const auto& [task, m] : r.metrics->tasks) {
+        sent += m.value(obs::Counter::kMessagesSent);
+      }
+      EXPECT_EQ(sent, static_cast<std::uint64_t>((tasks - 1) * segs))
+          << "tasks=" << tasks << " segment=" << segment;
+    }
+  }
 }
 
 }  // namespace
