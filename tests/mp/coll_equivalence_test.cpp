@@ -217,7 +217,17 @@ TEST(CollNonCommutative, ReduceScatterRoutesNonCommutativeViaTree) {
 // ---------------------------------------------------------------------------
 // Ragged contributions: different lengths across ranks are a usage bug and
 // must surface as UsageError on every new primitive — never a hang, never a
-// silently wrong answer.
+// silently wrong answer. The tree reduce's mismatch is staged across the
+// eager threshold too, where one hop ships eagerly and its peer's ships a
+// copy by ownership transfer. (The SegmentedReduce* names predate the
+// removal of the segmented tree; the tests keep its 64-byte boundary as
+// the eager threshold.)
+
+RunOptions eager_at_64_bytes() {
+  RunOptions opts;
+  opts.eager_bytes = 64;
+  return opts;
+}
 
 TEST(CollRagged, RingAllreduceThrowsUsageError) {
   EXPECT_THROW(run(4,
@@ -236,6 +246,33 @@ TEST(CollRagged, ReduceScatterThrowsUsageError) {
                      (void)comm.reduce_scatter(contribution(comm.rank(), n),
                                                op_sum<std::int64_t>());
                    }),
+               UsageError);
+}
+
+TEST(CollRagged, SegmentedReduceThrowsAcrossTheSegmentationThreshold) {
+  // eager = 64 bytes = 8 int64s: rank 1's 4-element body ships eagerly
+  // while everyone else's ships by ownership transfer — the receiver must
+  // diagnose the mismatch whichever way the body arrived.
+  EXPECT_THROW(run(4,
+                   [](Communicator& comm) {
+                     const std::size_t n = comm.rank() == 1 ? 4u : 40u;
+                     (void)comm.reduce(contribution(comm.rank(), n),
+                                       op_sum<std::int64_t>(), 0);
+                   },
+                   eager_at_64_bytes()),
+               UsageError);
+}
+
+TEST(CollRagged, SegmentedReduceThrowsOnSegmentedLengthMismatch) {
+  // Both sides ship above the threshold, totals differ: rank 3's body
+  // reaches interior rank 2 with the wrong length.
+  EXPECT_THROW(run(4,
+                   [](Communicator& comm) {
+                     const std::size_t n = comm.rank() == 3 ? 48u : 40u;
+                     (void)comm.reduce(contribution(comm.rank(), n),
+                                       op_sum<std::int64_t>(), 0);
+                   },
+                   eager_at_64_bytes()),
                UsageError);
 }
 
