@@ -46,6 +46,10 @@ class Collector {
     return c;
   }
 
+  /// The calling thread's next event registers it as a new thread. Touches
+  /// only the caller's thread-local state, so it takes no lock.
+  static void forget_thread() noexcept { tstate() = ThreadState{}; }
+
   void begin_scope() {
     std::lock_guard lock(mu_);
     if (detail::g_active.load(std::memory_order_relaxed) != 0) {
@@ -398,6 +402,8 @@ void mp_rdv_stalled(int sender, int dest, int tag, int context,
 }
 
 }  // namespace detail
+
+void reset_thread() noexcept { Collector::forget_thread(); }
 
 Scope::Scope() { Collector::instance().begin_scope(); }
 

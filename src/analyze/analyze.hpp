@@ -78,6 +78,11 @@ inline bool active() noexcept {
   return detail::g_active.load(std::memory_order_relaxed) != 0;
 }
 
+/// Drops the calling thread's analyzer identity (thread id, lane name,
+/// held locks), so its next event registers it as a new thread. Pooled
+/// host threads call this at task start.
+void reset_thread() noexcept;
+
 /// \name Memory-access hooks (smp/sync.hpp and friends)
 /// @{
 inline void on_read(const void* addr, const char* label = nullptr) noexcept {

@@ -465,6 +465,8 @@ LaneCounters lane_snapshot() {
   return {ls.deliveries, ls.checkpoints};
 }
 
+void reset_thread() noexcept { lane_state() = LaneState{}; }
+
 void lane_restore(const LaneCounters& counters) {
   LaneState& ls = lane_state();
   // Adopt the current epoch first so a later refresh_epoch() cannot wipe

@@ -187,6 +187,11 @@ LaneCounters lane_snapshot();
 /// Call from the resumed rank's thread, after its sched lane is bound.
 void lane_restore(const LaneCounters& counters);
 
+/// Drops the calling thread's lane counters, so its next decision starts a
+/// fresh stream as on a new thread. Pooled host threads call this at task
+/// start.
+void reset_thread() noexcept;
+
 /// How the fault layer sees the currently running mp job. Bound by
 /// mp::run() for the job's duration; crash/slow actions are inert with no
 /// job bound (there is no cluster to name a node of).

@@ -1,5 +1,6 @@
 #include "mp/runtime.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <map>
 #include <optional>
@@ -15,7 +16,7 @@
 #include "sched/coop.hpp"
 #include "sched/sched.hpp"
 #include "smp/wtime.hpp"
-#include "thread/thread.hpp"
+#include "thread/hosts.hpp"
 
 namespace pml::mp {
 
@@ -35,6 +36,9 @@ RuntimeState::RuntimeState(int np, Cluster c) : nprocs(np), cluster(std::move(c)
 std::shared_ptr<pml::thread::Event> RuntimeState::register_ack(std::uint64_t id) {
   auto event = std::make_shared<pml::thread::Event>();
   std::lock_guard lock(ack_mu);
+  if (acks_closed) {
+    throw RuntimeFault("synchronous send aborted: message-passing runtime shut down");
+  }
   acks.emplace(id, event);
   return event;
 }
@@ -58,13 +62,55 @@ void RuntimeState::forget_ack(std::uint64_t id) {
 
 void RuntimeState::poison_all() {
   for (auto& mb : mailboxes) mb->poison();
-  // Release any rank blocked in an ssend, too.
+  // Release any rank blocked in an ssend, too, and fail any later one.
   std::lock_guard lock(ack_mu);
+  acks_closed = true;
   for (auto& [id, event] : acks) event->set();
   acks.clear();
 }
 
 }  // namespace detail
+
+namespace {
+
+/// The deadlock watchdog, run by the launcher while it waits for the
+/// ranks: if every still-running rank sits in an indefinite wait and no
+/// message is delivered for the whole grace period, nothing can ever make
+/// progress (only ranks produce messages) — poison the job so it aborts
+/// with a diagnosis instead of hanging the process. An in-flight
+/// checkpoint write counts as progress: a slow seal parks every rank on
+/// the release barrier, which is delivery-quiescent but very much not a
+/// deadlock. Returns once every rank has finished or the job is poisoned.
+void watch_for_deadlock(detail::RuntimeState& state,
+                        std::vector<pml::thread::HostThread>& ranks,
+                        std::chrono::milliseconds grace, ckpt::Store* store) {
+  const auto tick = std::chrono::milliseconds(50);
+  const long needed_ticks = std::max<long>(1, grace.count() / tick.count());
+  long stuck_ticks = 0;
+  std::uint64_t last_deliveries = state.deliveries.load();
+  for (auto& rank : ranks) {
+    // wait_for returns true once the rank finishes (no 50ms teardown
+    // penalty for short jobs); false means one tick elapsed — inspect.
+    while (!rank.wait_for(tick)) {
+      const int live = state.nprocs - state.finished.load(std::memory_order_relaxed);
+      const int blocked = state.blocked.load(std::memory_order_relaxed);
+      const std::uint64_t delivered = state.deliveries.load();
+      const bool writing = store != nullptr && store->write_active();
+      if (live > 0 && blocked == live && delivered == last_deliveries && !writing) {
+        if (++stuck_ticks >= needed_ticks) {
+          state.deadlock_detected.store(true);
+          state.poison_all();
+          return;
+        }
+      } else {
+        stuck_ticks = 0;
+        last_deliveries = delivered;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 void run(int nprocs, const std::function<void(Communicator&)>& program,
          const RunOptions& options) {
@@ -223,49 +269,6 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
 
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
     {
-      // Watchdog: if every still-running rank sits in an indefinite wait and
-      // no message is delivered for the whole grace period, nothing can ever
-      // make progress (only ranks produce messages) — abort with a diagnosis
-      // instead of hanging the process. An in-flight checkpoint write counts
-      // as progress: a slow seal parks every rank on the release barrier,
-      // which is delivery-quiescent but very much not a deadlock.
-      std::mutex done_mu;
-      std::condition_variable done_cv;
-      bool job_done = false;
-      std::jthread watchdog;
-      // Under cooperative verification the scheduler itself proves deadlocks
-      // (a fruitless sweep over all blocked lanes), so the wall-clock
-      // watchdog would only add an unmanaged thread and false timing.
-      if (options.deadlock_grace.count() > 0 && !sched::coop_active()) {
-        watchdog = std::jthread([&, state, store] {
-          const auto tick = std::chrono::milliseconds(50);
-          const auto needed_ticks =
-              std::max<long>(1, options.deadlock_grace.count() / tick.count());
-          long stuck_ticks = 0;
-          std::uint64_t last_deliveries = state->deliveries.load();
-          std::unique_lock lock(done_mu);
-          // wait_for returns true once the job finishes (no 50ms teardown
-          // penalty for short jobs); false means one tick elapsed — inspect.
-          while (!done_cv.wait_for(lock, tick, [&] { return job_done; })) {
-            const int live = nprocs - state->finished.load(std::memory_order_relaxed);
-            const int blocked = state->blocked.load(std::memory_order_relaxed);
-            const std::uint64_t delivered = state->deliveries.load();
-            const bool writing = store != nullptr && store->write_active();
-            if (live > 0 && blocked == live && delivered == last_deliveries &&
-                !writing) {
-              if (++stuck_ticks >= needed_ticks) {
-                state->deadlock_detected.store(true);
-                state->poison_all();
-                return;
-              }
-            } else {
-              stuck_ticks = 0;
-              last_deliveries = delivered;
-            }
-          }
-        });
-      }
-
       // Fork/join happens-before edges for the analyzer, keyed on this run's
       // error vector: launcher state flows into every rank, every rank's
       // writes flow back to the launcher at join. Distinct fork/join keys for
@@ -274,7 +277,7 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
       const void* fork_key = reinterpret_cast<const char*>(&errors) + 1;
       const void* join_key = &errors;
       analyze::on_sync_release(fork_key);
-      std::vector<std::jthread> ranks;
+      std::vector<pml::thread::HostThread> ranks;
       ranks.reserve(static_cast<std::size_t>(nprocs));
       sched::coop_spawned(join_key, static_cast<std::uint32_t>(nprocs),
                           static_cast<std::uint32_t>(nprocs));
@@ -323,14 +326,16 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
         });
       }
       sched::coop_join(join_key);
-      ranks.clear();  // joins the ranks
-      analyze::on_sync_acquire(join_key);
-      {
-        std::lock_guard lock(done_mu);
-        job_done = true;
+      // Under cooperative verification the scheduler itself proves
+      // deadlocks (a fruitless sweep over all blocked lanes), and the ranks
+      // have all finished here, so the wall-clock watchdog would only add
+      // false timing.
+      if (options.deadlock_grace.count() > 0 && !sched::coop_active()) {
+        watch_for_deadlock(*state, ranks, options.deadlock_grace, store);
       }
-      done_cv.notify_all();
-    }  // joins the watchdog
+      pml::thread::join_all(ranks);
+      analyze::on_sync_acquire(join_key);
+    }
 
     // Join any in-flight cut writer before this attempt's state can go away
     // (the release closure deposits into its mailboxes).

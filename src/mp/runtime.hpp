@@ -56,6 +56,9 @@ struct RuntimeState {
   /// Synchronous-send acknowledgement table (keyed by ack id).
   std::mutex ack_mu;
   std::map<std::uint64_t, std::shared_ptr<pml::thread::Event>> acks;
+  /// Set by poison_all() under ack_mu: no ack can arrive any more, so a
+  /// later register_ack() throws instead of waiting forever.
+  bool acks_closed = false;
   std::atomic<std::uint64_t> next_ack{1};
 
   /// Communicator context ids. 0 is the world communicator.
@@ -94,6 +97,7 @@ struct RuntimeState {
   std::vector<std::uint64_t> ckpt_lane_checkpoints;
   /// @}
 
+  /// Throws RuntimeFault once the job is poisoned.
   std::shared_ptr<pml::thread::Event> register_ack(std::uint64_t id);
   void acknowledge(std::uint64_t id);
   /// Withdraws a pending ack registration (a retrying sender gave up on

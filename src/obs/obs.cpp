@@ -72,6 +72,17 @@ struct Lane {
   }
 };
 
+/// The calling thread's lane, valid while `gen` is the current scope's.
+struct LaneCache {
+  Lane* lane = nullptr;
+  std::uint64_t gen = 0;
+};
+
+LaneCache& lane_cache() {
+  thread_local LaneCache tl;
+  return tl;
+}
+
 /// All shared profiling state. The mutex guards registration and scope
 /// transitions only — never the per-event hot path — and is a strict leaf:
 /// nothing here takes a substrate lock.
@@ -143,18 +154,17 @@ class Collector {
   /// The calling thread's lane for the current scope, registering on first
   /// use (the only locking event on a profiled thread's lifetime).
   Lane& self() {
-    thread_local Lane* cached = nullptr;
-    thread_local std::uint64_t cached_gen = 0;
+    LaneCache& cache = lane_cache();
     const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-    if (cached == nullptr || cached_gen != gen) {
+    if (cache.lane == nullptr || cache.gen != gen) {
       std::lock_guard lock(mu_);
       auto lane = std::make_unique<Lane>(
           kUnboundTaskBase + static_cast<int>(lanes_.size()), lane_capacity_);
-      cached = lane.get();
-      cached_gen = gen;
+      cache.lane = lane.get();
+      cache.gen = gen;
       lanes_.push_back(std::move(lane));
     }
-    return *cached;
+    return *cache.lane;
   }
 
   void record_span(SpanKind kind, std::uint64_t begin_ns, std::uint64_t end_ns,
@@ -291,6 +301,8 @@ const char* intern_label(std::string_view label) noexcept {
 }
 
 }  // namespace detail
+
+void reset_thread() noexcept { lane_cache() = LaneCache{}; }
 
 Scope::Scope(std::size_t ring_spans) {
   Collector::instance().begin_scope(ring_spans);

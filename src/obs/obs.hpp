@@ -115,6 +115,12 @@ inline void on_task_placed(int task, std::string_view node_name) noexcept {
   if (active()) detail::bind_task_node(task, node_name);
 }
 
+/// Detaches the calling thread from its lane, so its next event registers a
+/// new one, as a new thread's would: a lane's counters go to the task it
+/// last saw, and a reused thread must not carry one task's counts into the
+/// next. Pooled host threads call this at task start.
+void reset_thread() noexcept;
+
 /// RAII span: stamps begin at construction, records [begin, now] at
 /// destruction. When profiling is off both ends are a relaxed load and an
 /// untaken branch. \p label must be a string literal or an interned string

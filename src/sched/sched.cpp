@@ -192,6 +192,8 @@ int bound_lane() noexcept {
   return ls.bound ? static_cast<int>(ls.lane) : -1;
 }
 
+void reset_thread() noexcept { lane_state() = LaneState{}; }
+
 Stats stats() noexcept {
   Stats s;
   s.points = g_points.load(std::memory_order_relaxed);

@@ -142,6 +142,10 @@ void bind_lane(std::uint32_t lane) noexcept;
 /// team-relative ids students see in patternlet output.
 int bound_lane() noexcept;
 
+/// Forgets the calling thread's lane binding and call counter, leaving it
+/// as a new thread starts. Pooled host threads call this at task start.
+void reset_thread() noexcept;
+
 /// Counters of perturbations applied since the last configure().
 struct Stats {
   std::uint64_t points = 0;  ///< point() calls that consulted the perturber.

@@ -69,7 +69,7 @@ void Pool::shutdown() {
   work_ready_.notify_all();
   sched::coop_wake(&work_ready_);
   sched::coop_join(this);
-  threads_.clear();  // joins
+  join_all(threads_);
 }
 
 std::vector<long> Pool::tasks_per_worker() const {

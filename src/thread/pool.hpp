@@ -13,10 +13,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
+#include "thread/hosts.hpp"
 
 namespace pml::thread {
 
@@ -62,7 +62,7 @@ class Pool {
   std::exception_ptr first_error_;  ///< First exception thrown by a task.
   int active_ = 0;
   bool stopping_ = false;
-  std::vector<std::jthread> threads_;
+  std::vector<HostThread> threads_;
 };
 
 }  // namespace pml::thread

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <thread>
 #include <utility>
 
 #include "analyze/analyze.hpp"
@@ -98,16 +99,19 @@ std::optional<StealingPool::Task> StealingPool::find_work(int id) {
 
 void StealingPool::worker_loop(int id) {
   sched::coop_lane_begin(this, static_cast<std::uint32_t>(id));
+  identity() = WorkerIdentity{this, id};
   try {
     worker_body(id);
   } catch (const sched::CoopAbort&) {
     // Verification run aborted mid-wait; unwind quietly.
   }
+  // The host outlives this pool: a later pool at the same address must not
+  // mistake it for one of its workers.
+  identity() = WorkerIdentity{};
   sched::coop_lane_end(this);
 }
 
 void StealingPool::worker_body(int id) {
-  identity() = WorkerIdentity{this, id};
   for (;;) {
     // Snapshot before the sweep: any submit after this point flips the
     // epoch and keeps us from napping on work we failed to see.
@@ -169,7 +173,6 @@ void StealingPool::worker_body(int id) {
     }
     nappers_.fetch_sub(1, std::memory_order_relaxed);
   }
-  identity() = WorkerIdentity{};
 }
 
 void StealingPool::wait_idle() {
@@ -198,7 +201,7 @@ void StealingPool::shutdown() {
   work_cv_.notify_all();
   sched::coop_wake(&work_cv_);
   sched::coop_join(this);
-  threads_.clear();  // joins; workers drain remaining work before exiting
+  join_all(threads_);  // workers drain remaining work before exiting
 }
 
 std::vector<long> StealingPool::executed_per_worker() const {

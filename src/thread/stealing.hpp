@@ -25,10 +25,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
+#include "thread/hosts.hpp"
 
 namespace pml::thread {
 
@@ -128,7 +128,7 @@ class StealingPool {
   std::atomic<std::uint64_t> work_epoch_{0};
   /// Workers currently napping on work_cv_ (for the busy-worker handoff).
   std::atomic<int> nappers_{0};
-  std::vector<std::jthread> threads_;
+  std::vector<HostThread> threads_;
 };
 
 }  // namespace pml::thread

@@ -1,6 +1,7 @@
 #include "thread/thread.hpp"
 
 #include <exception>
+#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "obs/obs.hpp"
@@ -31,7 +32,7 @@ void run_all(int n, int first_spawned, const std::function<void(int)>& fn,
   // function of the schedule, which is what makes replay exact.
   sched::coop_spawned(join_key, static_cast<std::uint32_t>(n),
                       static_cast<std::uint32_t>(n - first_spawned));
-  std::vector<std::jthread> workers;
+  std::vector<HostThread> workers;
   workers.reserve(static_cast<std::size_t>(n - first_spawned));
   for (int id = first_spawned; id < n; ++id) {
     workers.emplace_back([&, id, fork_key, join_key] {
@@ -62,7 +63,7 @@ void run_all(int n, int first_spawned, const std::function<void(int)>& fn,
     }
   }
   sched::coop_join(join_key);  // cooperative wait; real joins are instant
-  workers.clear();             // joins
+  join_all(workers);
   analyze::on_sync_acquire(join_key);
 }
 

@@ -5,26 +5,27 @@
 ///
 /// The Pthreads patternlets teach the *explicit* threading model:
 /// `pthread_create` a worker with an id argument, do work, `pthread_join`.
-/// pml::thread::Thread reproduces that model on std::thread with RAII:
-/// a Thread must be joined (or the destructor joins it), and each thread
-/// carries the small-integer id the patternlets print.
+/// pml::thread::Thread reproduces that model on a pooled host thread
+/// (hosts.hpp) with RAII: a Thread must be joined (or the destructor joins
+/// it), and each thread carries the small-integer id the patternlets print.
 
 #include <functional>
 #include <memory>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "core/error.hpp"
 #include "sched/coop.hpp"
+#include "thread/hosts.hpp"
 
 namespace pml::thread {
 
 /// A joinable worker thread with an explicit integer id.
 ///
-/// Unlike raw std::thread, destruction of a still-joinable Thread joins it
-/// rather than terminating the program: in teaching code, "forgot to join"
-/// should behave like fork-join, not call std::terminate.
+/// Unlike a raw C++ thread object, destruction of a still-joinable Thread
+/// joins it rather than terminating the program: in teaching code, "forgot
+/// to join" should behave like fork-join, not call std::terminate. A body
+/// that throws still ends the program, as an uncaught exception on any
+/// thread does.
 class Thread {
  public:
   Thread() = default;
@@ -36,7 +37,7 @@ class Thread {
     if (sched::coop_active()) {
       coop_token_ = std::make_unique<char>('\0');
       sched::coop_spawned(coop_token_.get(), 1, 1);
-      impl_ = std::jthread([fn = std::move(fn), id, tok = coop_token_.get()] {
+      impl_ = HostThread([fn = std::move(fn), id, tok = coop_token_.get()] {
         sched::coop_lane_begin(tok, 0);
         try {
           fn(id);
@@ -46,7 +47,7 @@ class Thread {
         sched::coop_lane_end(tok);
       });
     } else {
-      impl_ = std::jthread(std::move(fn), id);
+      impl_ = HostThread([fn = std::move(fn), id] { fn(id); });
     }
   }
 
@@ -83,7 +84,7 @@ class Thread {
  private:
   int id_ = -1;
   std::unique_ptr<char> coop_token_;
-  std::jthread impl_;
+  HostThread impl_;
 };
 
 /// Creates \p n workers running fn(0) .. fn(n-1), fork-join style.

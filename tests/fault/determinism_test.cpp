@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "mp/communicator.hpp"
@@ -91,6 +96,36 @@ TEST(FaultDeterminism, DelayAndDupDrawsAreIdenticalAcrossRuns) {
   EXPECT_EQ(a.obs_duplicated, a.stats.duplicated);
   EXPECT_EQ(b.obs_delayed, b.stats.delayed);
   EXPECT_EQ(b.obs_duplicated, b.stats.duplicated);
+}
+
+TEST(FaultDeterminism, BackToBackJobsInOneScopeDropTheSameMessages) {
+  // One plan, two identical jobs: each rank's decision stream starts over
+  // with its job, so the same (sender, message) pairs go missing both
+  // times. Every rank sends before anyone drains, so what a rank receives
+  // is exactly what was not dropped.
+  FaultScope scope{FaultPlan::parse("drop:25%,seed:11")};
+  const auto job = [] {
+    std::mutex mu;
+    std::set<std::pair<int, int>> received;
+    std::atomic<int> senders_done{0};
+    mp::run(4, [&](mp::Communicator& world) {
+      const int next = (world.rank() + 1) % world.size();
+      for (int i = 0; i < 20; ++i) world.send(i, next, /*tag=*/5);
+      ++senders_done;
+      while (senders_done.load() < world.size()) std::this_thread::yield();
+      const int prev = (world.rank() + world.size() - 1) % world.size();
+      while (const auto got = world.recv_for<int>(1ms, prev, 5)) {
+        std::lock_guard lock(mu);
+        received.emplace(prev, *got);
+      }
+    });
+    return received;
+  };
+  const auto first = job();
+  const auto second = job();
+  EXPECT_GT(first.size(), 0u);
+  EXPECT_LT(first.size(), 80u);  // the plan dropped something
+  EXPECT_EQ(first, second);
 }
 
 TEST(FaultDeterminism, DifferentSeedsGiveDifferentSequences) {

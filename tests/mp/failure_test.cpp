@@ -76,6 +76,23 @@ TEST(Crash, PeerBlockedInSsendIsWoken) {
                UsageError);
 }
 
+TEST(Crash, SsendAfterPeerDiedReportsTheRootCause) {
+  // Rank 0 survives its own aborted receive and then ssends to the dead
+  // rank. The job is already shut down, so no ack can come: the ssend must
+  // fail at once, and the caller must see rank 1's error, not a deadlock
+  // diagnosis after the watchdog's grace period.
+  EXPECT_THROW(run(2,
+                   [](Communicator& comm) {
+                     if (comm.rank() == 1) throw UsageError("receiver died");
+                     try {
+                       (void)comm.recv<int>(1);
+                     } catch (const RuntimeFault&) {
+                     }
+                     comm.ssend(1, 1);
+                   }),
+               UsageError);
+}
+
 TEST(Validation, CollectiveArgumentsChecked) {
   run(2, [](Communicator& comm) {
     EXPECT_THROW((void)comm.broadcast(1, 5), UsageError);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -105,6 +107,27 @@ TEST(ObsScope, CountersAttributeToTheRecordingTask) {
   EXPECT_EQ(p.tasks.at(0).value(Counter::kCombines), 1u);
   EXPECT_EQ(p.tasks.at(1).value(Counter::kCombines), 2u);
   EXPECT_EQ(p.tasks.at(2).value(Counter::kCombines), 3u);
+}
+
+TEST(ObsScope, CountersFollowEachTaskAcrossRegionsOfDifferentSizes) {
+  // The 2-thread team's worker (task 1) runs on the host that ran task 0 of
+  // the 4-thread fork-join; its counts must go to its new task, not the
+  // old one.
+  std::array<std::uint64_t, 4> recorded{};
+  const auto record = [&](int id, int threads) {
+    const auto chunks = static_cast<std::uint64_t>(1 + id + 10 * threads);
+    count(Counter::kChunks, chunks);
+    recorded[static_cast<std::size_t>(id)] += chunks;  // distinct slot per id
+  };
+  Scope scope;
+  pml::thread::fork_join(4, [&](int id) { record(id, 4); });
+  pml::smp::parallel(2, [&](pml::smp::Region& region) { record(region.thread_num(), 2); });
+  const Profile p = scope.finish();
+  for (int task = 0; task < 4; ++task) {
+    EXPECT_EQ(p.tasks.at(task).value(Counter::kChunks),
+              recorded[static_cast<std::size_t>(task)])
+        << "task " << task;
+  }
 }
 
 TEST(ObsScope, UnboundThreadsGetSyntheticTaskIds) {
