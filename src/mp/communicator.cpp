@@ -55,14 +55,6 @@ int Communicator::next_pow2_at_least(int p) noexcept {
   return v;
 }
 
-Envelope Communicator::coll_recv(int source, int tag, const char* what) const {
-  const auto budget = state_->collective_timeout;
-  if (budget.count() <= 0) return my_mailbox().receive(context_, source, tag);
-  auto e = my_mailbox().receive_for(context_, source, tag, budget);
-  if (!e) throw_collective_timeout(source, what);
-  return std::move(*e);
-}
-
 void Communicator::send_payload(int dest, int tag, Payload&& bytes,
                                 std::uint64_t ack_id) const {
   if (bytes.size() <= state_->eager_bytes) {
@@ -122,32 +114,12 @@ std::optional<RendezvousTable::Parked> Communicator::claim_rts(
   return claimed;
 }
 
-std::optional<Payload> Communicator::resolve_payload(Envelope&& e) const {
-  if (!e.rts) {
-    if (e.wants_ack) state_->acknowledge(e.ack_id);
-    return std::move(e.data);
+void Communicator::check_backoff(const RetryPolicy& policy, const char* what) {
+  if (policy.backoff_multiplier < 1) {
+    throw UsageError(std::string(what) + ": backoff_multiplier must be at least 1");
   }
-  auto claimed = claim_rts(e);
-  if (!claimed) return std::nullopt;
-  if (e.wants_ack) state_->acknowledge(e.ack_id);
-  return take_claimed<Payload>(std::move(*claimed));
-}
-
-std::optional<Payload> Communicator::recv_body_for(
-    int source, int tag, std::chrono::milliseconds timeout) const {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  auto remaining = timeout;
-  for (;;) {
-    auto e = my_mailbox().receive_for(context_, source, tag, remaining);
-    if (!e) return std::nullopt;
-    auto bytes = resolve_payload(std::move(*e));
-    if (bytes) return bytes;
-    // Stale RTS consumed: keep waiting out the original deadline. A spent
-    // (or poll-once) budget degrades to further polls, which still
-    // terminate — the queue only shrinks from here.
-    remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining.count() < 0) remaining = std::chrono::milliseconds(0);
+  if (policy.max_backoff.count() <= 0) {
+    throw UsageError(std::string(what) + ": max_backoff must be positive");
   }
 }
 
@@ -190,22 +162,18 @@ bool Communicator::barrier_for(std::chrono::milliseconds timeout) const {
     deliver(0, Envelope{context_, rank_, internal_tag::kBarrierBase, Payload{}});
     // The release gets the root's whole collection budget plus slack for
     // the release hop; a silent root (crashed?) degrades rather than hangs.
-    auto verdict =
-        recv_body_for(0, internal_tag::kBarrierBase,
-                      timeout * 2 + std::chrono::milliseconds(100));
-    if (!verdict) return false;
-    return Codec<int>::decode(std::move(*verdict)) != 0;
+    const auto verdict = recv_for<int>(timeout * 2 + std::chrono::milliseconds(100), 0,
+                                       internal_tag::kBarrierBase);
+    return verdict && *verdict != 0;
   }
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   bool all = true;
   for (int r = 1; r < p; ++r) {
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
-    // Budget spent: poll, so tokens already queued still count as arrived.
-    auto e = recv_body_for(
-        r, internal_tag::kBarrierBase,
-        remaining.count() > 0 ? remaining : std::chrono::milliseconds(0));
-    if (!e) all = false;
+    // Budget spent (<= 0): recv_for polls, so tokens already queued still
+    // count as arrived.
+    if (!recv_for<Payload>(remaining, r, internal_tag::kBarrierBase)) all = false;
   }
   const Payload verdict = Codec<int>::encode(all ? 1 : 0);
   for (int r = 1; r < p; ++r) {
@@ -226,7 +194,7 @@ void Communicator::barrier() const {
     const int to = (rank_ + dist) % p;
     const int from = (rank_ - dist + p) % p;
     deliver(to, Envelope{context_, rank_, internal_tag::kBarrierBase + round, Payload{}});
-    (void)coll_recv(from, internal_tag::kBarrierBase + round, "barrier");
+    (void)coll_recv_typed<Payload>(from, internal_tag::kBarrierBase + round, "barrier");
   }
 }
 
@@ -268,7 +236,7 @@ void Communicator::ckpt_barrier(int base_tag, const char* what) const {
     const int from = (rank_ - dist + p) % p;
     state_->mailboxes[static_cast<std::size_t>(to)]->deposit_trusted(
         Envelope{context_, rank_, base_tag + round, Payload{}});
-    (void)coll_recv(from, base_tag + round, what);
+    (void)coll_recv_typed<Payload>(from, base_tag + round, what);
   }
 }
 

@@ -193,15 +193,9 @@ class Communicator {
   T recv(int source = kAnySource, int tag = kAnyTag, Status* status = nullptr) const {
     check_source(source, "recv");
     for (;;) {
-      Envelope e = my_mailbox().receive(context_, source, tag);
-      if (!e.rts) {
-        finish_receive(e, status);
-        return decode_counted<T>(std::move(e.data));
-      }
-      auto claimed = claim_rts(e);
-      if (!claimed) continue;  // stale RTS: keep waiting
-      finish_claim(e, claimed->bytes, status);
-      return take_claimed<T>(std::move(*claimed));
+      auto value = take<T>(my_mailbox().receive(context_, source, tag), status);
+      if (value) return std::move(*value);
+      // Stale RTS: keep waiting.
     }
   }
 
@@ -209,7 +203,8 @@ class Communicator {
   /// terminate (the patternlet *shows* the deadlock instead of hanging).
   /// A \p timeout <= 0 means "poll once" — exactly try_recv semantics,
   /// with no wait and no timeout analysis event. Stale RTS envelopes are
-  /// skipped within the same deadline.
+  /// skipped within the same deadline. The bounded collectives receive
+  /// through this too.
   template <typename T>
   std::optional<T> recv_for(std::chrono::milliseconds timeout, int source = kAnySource,
                             int tag = kAnyTag, Status* status = nullptr) const {
@@ -219,22 +214,13 @@ class Communicator {
     for (;;) {
       auto e = my_mailbox().receive_for(context_, source, tag, remaining);
       if (!e) return std::nullopt;
-      if (!e->rts) {
-        finish_receive(*e, status);
-        return decode_counted<T>(std::move(e->data));
-      }
-      auto claimed = claim_rts(*e);
-      if (claimed) {
-        finish_claim(*e, claimed->bytes, status);
-        return take_claimed<T>(std::move(*claimed));
-      }
+      if (auto value = take<T>(std::move(*e), status)) return value;
       // A stale RTS consumed no budget worth of data: keep waiting out
-      // the original deadline (a poll-once call polls again, still free).
-      remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (timeout.count() <= 0 || remaining.count() < 0) {
-        remaining = std::chrono::milliseconds(0);
-      }
+      // the original deadline (a spent or poll-once budget polls again,
+      // still free, and terminates — the queue only shrinks).
+      remaining = std::max(std::chrono::duration_cast<std::chrono::milliseconds>(
+                               deadline - std::chrono::steady_clock::now()),
+                           std::chrono::milliseconds(0));
     }
   }
 
@@ -261,6 +247,7 @@ class Communicator {
     if (policy.max_attempts <= 0) {
       throw UsageError("send_with_retry: max_attempts must be positive");
     }
+    check_backoff(policy, "send_with_retry");
     auto backoff = policy.initial_backoff;
     if (backoff.count() <= 0) backoff = std::chrono::milliseconds(1);
     Payload bytes = Codec<T>::encode(value);
@@ -331,22 +318,14 @@ class Communicator {
                               Status* status = nullptr,
                               const RetryPolicy& policy = {}) const {
     check_source(source, "recv_retry");
+    check_backoff(policy, "recv_retry");
     const auto deadline = std::chrono::steady_clock::now() + total;
     auto next = policy.initial_backoff.count() > 0 ? policy.initial_backoff
                                                    : std::chrono::milliseconds(1);
     auto slice = std::chrono::milliseconds(0);  // first pass: poll once
     for (;;) {
-      auto e = my_mailbox().receive_for(context_, source, tag, slice);
-      if (e) {
-        if (!e->rts) {
-          finish_receive(*e, status);
-          return decode_counted<T>(std::move(e->data));
-        }
-        auto claimed = claim_rts(*e);
-        if (claimed) {
-          finish_claim(*e, claimed->bytes, status);
-          return take_claimed<T>(std::move(*claimed));
-        }
+      if (auto e = my_mailbox().receive_for(context_, source, tag, slice)) {
+        if (auto value = take<T>(std::move(*e), status)) return value;
         // Stale RTS (a duplicate this receive already rode out): fall
         // through to the backoff bookkeeping and wait for the real one.
       }
@@ -366,18 +345,7 @@ class Communicator {
   std::optional<T> try_recv(int source = kAnySource, int tag = kAnyTag,
                             Status* status = nullptr) const {
     check_source(source, "try_recv");
-    for (;;) {
-      auto e = my_mailbox().try_receive(context_, source, tag);
-      if (!e) return std::nullopt;
-      if (!e->rts) {
-        finish_receive(*e, status);
-        return decode_counted<T>(std::move(e->data));
-      }
-      auto claimed = claim_rts(*e);
-      if (!claimed) continue;  // stale RTS: try the next queued message
-      finish_claim(*e, claimed->bytes, status);
-      return take_claimed<T>(std::move(*claimed));
-    }
+    return recv_for<T>(std::chrono::milliseconds(0), source, tag, status);
   }
 
   /// Nonblocking probe for a matching queued message (MPI_Iprobe).
@@ -430,15 +398,13 @@ class Communicator {
       const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
       // Budget spent: fall through to a poll so an already-queued
-      // contribution still lands (recv_body_for treats <= 0 as poll-once).
-      auto bytes = recv_body_for(
-          r, internal_tag::kReduce,
-          remaining.count() > 0 ? remaining : std::chrono::milliseconds(0));
-      if (!bytes) {
+      // contribution still lands (recv_for treats <= 0 as poll-once).
+      auto value = recv_for<T>(remaining, r, internal_tag::kReduce);
+      if (!value) {
         out.missing.push_back(r);
         continue;
       }
-      out.value = op.combine(out.value, decode_counted<T>(std::move(*bytes)));
+      out.value = op.combine(out.value, std::move(*value));
       obs::count(obs::Counter::kCombines);
     }
     return out;
@@ -947,18 +913,31 @@ class Communicator {
         ->deliver(std::move(e));
   }
 
-  void finish_receive(const Envelope& e, Status* status) const {
-    if (status != nullptr) *status = Status{e.source, e.tag, e.data.size()};
+  /// Turns a matched envelope into a T: decodes an eager body, or claims
+  /// an RTS's parked body (zero-copy when T is the type the sender moved
+  /// in). Fills \p status — for a claim, with the parked buffer's size —
+  /// and fires the ssend/send_with_retry ack: the claim is the moment a
+  /// rendezvous message counts as matched. Empty for a *stale* RTS
+  /// (duplicated by fault injection, or withdrawn by a retrying sender),
+  /// which the caller skips.
+  template <typename T>
+  std::optional<T> take(Envelope&& e, Status* status) const {
+    std::optional<RendezvousTable::Parked> claimed;
+    if (e.rts) {
+      claimed = claim_rts(e);
+      if (!claimed) return std::nullopt;
+    }
+    if (status != nullptr) {
+      *status = Status{e.source, e.tag, claimed ? claimed->bytes : e.data.size()};
+    }
     if (e.wants_ack) state_->acknowledge(e.ack_id);
+    if (claimed) return take_claimed<T>(std::move(*claimed));
+    return decode_counted<T>(std::move(e.data));
   }
 
-  /// finish_receive for a claimed rendezvous body: Status reports the
-  /// parked buffer's size, and the ack (ssend/send_with_retry) fires now —
-  /// the claim is the moment the message counts as matched.
-  void finish_claim(const Envelope& e, std::size_t body_bytes, Status* status) const {
-    if (status != nullptr) *status = Status{e.source, e.tag, body_bytes};
-    if (e.wants_ack) state_->acknowledge(e.ack_id);
-  }
+  /// Rejects a backoff schedule whose wait slices cannot grow past zero:
+  /// the retry loops would resend or re-poll without waiting.
+  static void check_backoff(const RetryPolicy& policy, const char* what);
 
   /// \name Eager/rendezvous transport plumbing
   /// The copy accounting contract: every payload-plane memcpy of a body
@@ -999,16 +978,6 @@ class Communicator {
   /// Resolves a matched RTS envelope to its parked body. Empty means the
   /// RTS was stale (duplicated or withdrawn) — the caller keeps waiting.
   std::optional<RendezvousTable::Parked> claim_rts(const Envelope& e) const;
-
-  /// receive_for + rendezvous resolution: skips stale RTS envelopes
-  /// within the same deadline; nullopt on timeout. Used by the bounded
-  /// collectives (barrier_for, reduce_with_timeout).
-  std::optional<Payload> recv_body_for(int source, int tag,
-                                       std::chrono::milliseconds timeout) const;
-
-  /// Envelope-to-body resolution for cpp-side callers: acks, claims, and
-  /// returns the raw bytes (empty for a stale RTS).
-  std::optional<Payload> resolve_payload(Envelope&& e) const;
 
   /// Encode + copy-accounting + routed send: the one-liner the collective
   /// algorithms use for their typed hops.
@@ -1068,21 +1037,20 @@ class Communicator {
     return v.size() * sizeof(T);
   }
 
-  /// coll_recv + rendezvous resolution, decoded as T (zero-copy for
-  /// same-type claims). Stale RTS envelopes are skipped.
+  /// One internal collective receive, decoded as T (zero-copy for
+  /// same-type claims). Unbounded when no collective timeout is configured
+  /// (RunOptions::collective_timeout / PML_MP_COLLECTIVE_TIMEOUT_MS);
+  /// bounded otherwise, converting silence past the budget into a
+  /// RuntimeFault naming the silent rank, its node, and any ranks fault
+  /// injection crashed — instead of hanging the job. \p what names the
+  /// collective for the diagnostic.
   template <typename T>
   T coll_recv_typed(int source, int tag, const char* what) const {
-    for (;;) {
-      Envelope e = coll_recv(source, tag, what);
-      if (!e.rts) {
-        if (e.wants_ack) state_->acknowledge(e.ack_id);
-        return decode_counted<T>(std::move(e.data));
-      }
-      auto claimed = claim_rts(e);
-      if (!claimed) continue;  // stale RTS: keep waiting
-      if (e.wants_ack) state_->acknowledge(e.ack_id);
-      return take_claimed<T>(std::move(*claimed));
-    }
+    const auto budget = state_->collective_timeout;
+    if (budget.count() <= 0) return recv<T>(source, tag);
+    auto value = recv_for<T>(budget, source, tag);
+    if (!value) throw_collective_timeout(source, what);
+    return std::move(*value);
   }
   /// @}
 
@@ -1091,13 +1059,6 @@ class Communicator {
   static void check_tag(int tag);
   static int next_pow2_at_least(int p) noexcept;
 
-  /// One internal collective receive. Unbounded when no collective timeout
-  /// is configured (RunOptions::collective_timeout /
-  /// PML_MP_COLLECTIVE_TIMEOUT_MS); bounded otherwise, converting silence
-  /// past the budget into a RuntimeFault naming the silent rank, its node,
-  /// and any ranks fault injection crashed — instead of hanging the job.
-  /// \p what names the collective for the diagnostic.
-  Envelope coll_recv(int source, int tag, const char* what) const;
   [[noreturn]] void throw_collective_timeout(int source, const char* what) const;
 
   /// \name Checkpoint protocol plumbing (see checkpoint())

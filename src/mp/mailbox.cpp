@@ -4,6 +4,7 @@
 #include <set>
 
 #include "analyze/analyze.hpp"
+#include "core/trace.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "sched/coop.hpp"
@@ -11,6 +12,14 @@
 #include "thread/adaptive_wait.hpp"
 
 namespace pml::mp {
+
+namespace {
+
+[[noreturn]] void throw_shut_down() {
+  throw RuntimeFault("receive aborted: message-passing runtime shut down");
+}
+
+}  // namespace
 
 void Mailbox::deliver(Envelope e) {
   // Fault injection sits in front of the real deposit, on the sender's
@@ -40,7 +49,9 @@ void Mailbox::deliver(Envelope e) {
 
 void Mailbox::deposit_trusted(Envelope e) { deposit(std::move(e)); }
 
-void Mailbox::deposit(Envelope e) {
+void Mailbox::restore(Envelope e) { deposit(std::move(e), /*counted=*/false); }
+
+void Mailbox::deposit(Envelope e, bool counted) {
   // Chaos mode perturbs delivery timing here, before the envelope enters
   // the mailbox: message *arrival order* across senders gets reshuffled
   // while the per-(source, tag) non-overtaking guarantee (arrival-stamp
@@ -58,13 +69,12 @@ void Mailbox::deposit(Envelope e) {
     // fault-duplicated message draws two distinguishable arrows.
     e.flow = obs::flow_emit(owner_, e.tag, e.body_bytes(), e.rts);
   }
-  DeliveryInfo info;
-  bool have_hook;
+  // Snapshot for the trace, recorded after unlock.
+  const int from = e.source;
+  const std::size_t bytes = trace_ != nullptr ? e.body_bytes() : 0;
   {
     std::lock_guard lock(mu_);
     e.seq = arrival_seq_++;
-    have_hook = static_cast<bool>(delivered_);
-    if (have_hook) info = DeliveryInfo{e.source, e.tag, e.context, e.body_bytes()};
     // A matching posted receive is waiting iff no buffered message could
     // have satisfied it (checked when it posted, under this same lock), so
     // handing the envelope over directly cannot overtake anything. First
@@ -85,18 +95,7 @@ void Mailbox::deposit(Envelope e) {
       // report the transient depth.
       obs::on_queue_depth(total_queued_ + 1);
       target->env = std::move(e);
-      // Publish + targeted wake both happen under mu_; the woken receiver
-      // re-locks mu_ before touching its PostedReceive, so we cannot be
-      // notifying into freed stack memory.
-      if (target->timed) {
-        target->state.store(kFilled, std::memory_order_release);
-        target->cv.notify_one();
-      } else if (target->state.exchange(kFilled, std::memory_order_acq_rel) ==
-                 kParked) {
-        // Wake syscall only when the receiver actually parked; a receiver
-        // still in its spin/yield phase sees the exchange on its next load.
-        target->state.notify_one();
-      }
+      target->complete(kFilled);
     } else {
       file_locked(std::move(e));
       obs::on_queue_depth(total_queued_);
@@ -105,44 +104,15 @@ void Mailbox::deposit(Envelope e) {
   // Under cooperative verification receivers re-poll the buckets rather
   // than post handoff entries, so every deposit is their wake signal.
   sched::coop_wake(this);
-  // The progress hook runs *after* unlock with a snapshot taken above: a
-  // hook that is slow or that itself touches the mailbox (tracing,
-  // watchdog bookkeeping) no longer serializes all senders or deadlocks.
-  // Hooks are installed once at runtime startup, before any traffic.
-  if (have_hook) delivered_(info);
-}
-
-void Mailbox::set_owner(int rank) {
-  std::lock_guard lock(mu_);
-  owner_ = rank;
-}
-
-void Mailbox::set_progress_hooks(std::function<void(int)> block_delta,
-                                 std::function<void(const DeliveryInfo&)> delivered) {
-  std::lock_guard lock(mu_);
-  block_delta_ = std::move(block_delta);
-  delivered_ = std::move(delivered);
-}
-
-namespace {
-
-/// RAII +1/-1 around a wait, tolerant of an unset hook.
-class BlockScope {
- public:
-  explicit BlockScope(const std::function<void(int)>& hook) : hook_(hook) {
-    if (hook_) hook_(+1);
+  // Counted and traced *after* unlock: a slow trace would otherwise
+  // serialize every sender into this mailbox.
+  if (counted && deliveries_ != nullptr) {
+    deliveries_->fetch_add(1, std::memory_order_relaxed);
+    if (trace_ != nullptr) {
+      trace_->record(from, "message", owner_, static_cast<std::int64_t>(bytes));
+    }
   }
-  ~BlockScope() {
-    if (hook_) hook_(-1);
-  }
-  BlockScope(const BlockScope&) = delete;
-  BlockScope& operator=(const BlockScope&) = delete;
-
- private:
-  const std::function<void(int)>& hook_;
-};
-
-}  // namespace
+}
 
 std::deque<Envelope>& Mailbox::bucket_for_locked(const MatchKey& key) {
   // One-entry cache: the hot paths (ping-pong, a collective round) hammer
@@ -234,106 +204,95 @@ bool Mailbox::extract_locked(int context, int source, int tag, Envelope& out) {
 }
 
 Envelope Mailbox::receive(int context, int source, int tag) {
+  Envelope out;  // NRVO: returned with no move beyond the one into `out`
+  (void)receive_into(context, source, tag, std::nullopt, out);
+  return out;
+}
+
+std::optional<Envelope> Mailbox::receive_for(int context, int source, int tag,
+                                             std::chrono::milliseconds timeout) {
+  std::optional<Envelope> out(std::in_place);
+  if (!receive_into(context, source, tag, timeout, *out)) out.reset();
+  return out;
+}
+
+std::optional<Envelope> Mailbox::try_receive(int context, int source, int tag) {
+  return receive_for(context, source, tag, std::chrono::milliseconds(0));
+}
+
+bool Mailbox::receive_into(int context, int source, int tag,
+                           std::optional<std::chrono::milliseconds> timeout,
+                           Envelope& out) {
+  // timeout <= 0 means "poll once": no fault checkpoint, no span, no
+  // posted entry, and no analyze timeout event. recv_retry leans on this
+  // for its first zero-cost slice.
+  if (timeout && timeout->count() <= 0) {
+    std::lock_guard lock(mu_);
+    return extract_locked(context, source, tag, out);
+  }
   if (fault::active()) fault::on_receive_checkpoint();
-  Envelope out;  // NRVO: both exits return this object with zero extra moves
   // The span opens before the lock so a message that is already queued —
   // the fast path — still records a kRecv span: profile recv-span counts
   // match messages received instead of silently excluding the cheap case.
   // Declared before `lock` so the span closes after the lock is released.
-  obs::SpanScope wait{obs::SpanKind::kRecv, "receive", source, tag};
+  obs::SpanScope wait{obs::SpanKind::kRecv, timeout ? "receive-for" : "receive", source,
+                      tag};
   std::unique_lock lock(mu_);
-  if (extract_locked(context, source, tag, out)) return out;
-  if (poisoned_) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
-  }
+  if (extract_locked(context, source, tag, out)) return true;
+  if (poisoned_) throw_shut_down();
   if (sched::coop_active()) {
     // Cooperative verification: no posted-receive handoff — re-poll the
     // buckets each time a deposit (or poison) wakes this mailbox. Blocking
-    // here is the scheduling decision the explorer branches on.
+    // here is the scheduling decision the explorer branches on. A timed
+    // block's logical timeout is granted only when no untimed lane can
+    // progress — i.e. when this wait would otherwise be part of a
+    // deadlock — so bounded receives neither race the clock nor mask real
+    // stalls.
     for (;;) {
-      sched::coop_block(this, &lock);
-      if (extract_locked(context, source, tag, out)) return out;
-      if (poisoned_) {
-        throw RuntimeFault("receive aborted: message-passing runtime shut down");
+      const bool timed_out =
+          sched::coop_block(this, &lock, /*timed=*/timeout.has_value());
+      if (extract_locked(context, source, tag, out)) return true;
+      if (poisoned_) throw_shut_down();
+      if (timed_out) {
+        report_timeout(lock, context, source, tag);
+        return false;
       }
     }
   }
   // Post the receive. Invariant: a posted receive exists only while no
   // buffered message matches it — we checked under this same lock — so a
   // deliverer may hand its envelope over directly without overtaking.
-  PostedReceive pr{context, source, tag, /*timed=*/false};
+  PostedReceive pr{context, source, tag, /*timed=*/timeout.has_value()};
   posted_.push_back(&pr);
-  BlockScope blocked(block_delta_);
-  lock.unlock();
-  const std::uint32_t final_state =
-      thread::adaptive_wait_and_advertise(pr.state, kPending, kParked);
-  // Lock handshake: the waker flips state and notifies while holding mu_,
-  // so re-acquiring it here guarantees the waker is done with `pr` before
-  // we read the envelope or unwind the stack frame that owns it.
-  lock.lock();
-  if (final_state == kPoisoned) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
+  if (timeout) {
+    // Deliberately NOT counted as blocked for the deadlock watchdog: a
+    // deadline wait recovers on its own, so it is never "stuck". A timed
+    // posted receive parks on its condvar (tied to mu_) rather than the
+    // state word because atomics have no deadline wait.
+    if (!pr.cv.wait_for(lock, *timeout, [&pr] {
+          return pr.state.load(std::memory_order_acquire) != kPending;
+        })) {
+      // Timed out. State flips only under mu_, which we hold: kPending here
+      // means no deliverer claimed this entry, so withdrawing it is safe.
+      posted_.erase(std::find(posted_.begin(), posted_.end(), &pr));
+      report_timeout(lock, context, source, tag);
+      return false;
+    }
+  } else {
+    // An indefinite wait: the one kind the deadlock watchdog counts stuck.
+    if (blocked_ != nullptr) blocked_->fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    thread::adaptive_wait_and_advertise(pr.state, kPending, kParked);
+    if (blocked_ != nullptr) blocked_->fetch_sub(1, std::memory_order_relaxed);
+    // Lock handshake: the waker flips state and notifies while holding mu_,
+    // so re-acquiring it here guarantees the waker is done with `pr` before
+    // we read the envelope or unwind the stack frame that owns it.
+    lock.lock();
   }
+  if (pr.state.load(std::memory_order_acquire) == kPoisoned) throw_shut_down();
   note_match_locked(pr.env, source, tag, context);
   out = std::move(pr.env);
-  return out;
-}
-
-std::optional<Envelope> Mailbox::receive_for(int context, int source, int tag,
-                                             std::chrono::milliseconds timeout) {
-  // timeout <= 0 means "poll once": no deadline arithmetic, no posted
-  // entry, no analyze timeout event — exactly try_receive semantics.
-  // recv_retry leans on this for its first zero-cost slice.
-  if (timeout.count() <= 0) return try_receive(context, source, tag);
-  if (fault::active()) fault::on_receive_checkpoint();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::optional<Envelope> out(std::in_place);
-  // Opened before the lock for the same reason as receive(): the fast path
-  // must record its span too, and the span must close after unlock.
-  obs::SpanScope wait{obs::SpanKind::kRecv, "receive-for", source, tag};
-  std::unique_lock lock(mu_);
-  if (extract_locked(context, source, tag, *out)) return out;
-  if (poisoned_) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
-  }
-  if (sched::coop_active()) {
-    for (;;) {
-      // Timed cooperative block: the logical timeout is granted only when
-      // no untimed lane can progress — i.e. when this wait would otherwise
-      // be part of a deadlock — so bounded receives neither race the clock
-      // nor mask real stalls.
-      const bool timed_out = sched::coop_block(this, &lock, /*timed=*/true);
-      if (extract_locked(context, source, tag, *out)) return out;
-      if (poisoned_) {
-        throw RuntimeFault("receive aborted: message-passing runtime shut down");
-      }
-      if (!timed_out) continue;
-      report_timeout(lock, context, source, tag);
-      return std::nullopt;
-    }
-  }
-  PostedReceive pr{context, source, tag, /*timed=*/true};
-  posted_.push_back(&pr);
-  // Deliberately NOT counted as blocked for the deadlock watchdog: a
-  // deadline wait recovers on its own, so it is never "stuck". A timed
-  // posted receive parks on its condvar (tied to mu_) rather than the
-  // state word because atomics have no deadline wait.
-  const bool filled = pr.cv.wait_until(lock, deadline, [&pr] {
-    return pr.state.load(std::memory_order_acquire) != kPending;
-  });
-  if (!filled) {
-    // Timed out. State flips only under mu_, which we hold: kPending here
-    // means no deliverer claimed this entry, so withdrawing it is safe.
-    posted_.erase(std::find(posted_.begin(), posted_.end(), &pr));
-    report_timeout(lock, context, source, tag);
-    return std::nullopt;
-  }
-  if (pr.state.load(std::memory_order_acquire) == kPoisoned) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
-  }
-  note_match_locked(pr.env, source, tag, context);
-  *out = std::move(pr.env);
-  return out;
+  return true;
 }
 
 void Mailbox::report_timeout(std::unique_lock<std::mutex>& lock, int context,
@@ -355,13 +314,6 @@ void Mailbox::report_timeout(std::unique_lock<std::mutex>& lock, int context,
   const int who = owner_;
   lock.unlock();
   analyze::on_mp_timeout(who, source, tag, context, present);
-}
-
-std::optional<Envelope> Mailbox::try_receive(int context, int source, int tag) {
-  std::optional<Envelope> out(std::in_place);
-  std::lock_guard lock(mu_);
-  if (!extract_locked(context, source, tag, *out)) out.reset();
-  return out;
 }
 
 std::optional<Status> Mailbox::probe(int context, int source, int tag) const {
@@ -396,16 +348,7 @@ std::vector<Envelope> Mailbox::snapshot() const {
 void Mailbox::poison() {
   std::lock_guard lock(mu_);
   poisoned_ = true;
-  // Targeted wakes under the lock; each woken receiver re-locks mu_ before
-  // reading its entry, so the stack frames stay alive until we are done.
-  for (PostedReceive* pr : posted_) {
-    pr->state.store(kPoisoned, std::memory_order_release);
-    if (pr->timed) {
-      pr->cv.notify_one();
-    } else {
-      pr->state.notify_one();
-    }
-  }
+  for (PostedReceive* pr : posted_) pr->complete(kPoisoned);
   posted_.clear();
   sched::coop_wake(this);
 }

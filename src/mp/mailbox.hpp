@@ -28,7 +28,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -37,21 +36,27 @@
 #include "core/error.hpp"
 #include "mp/message.hpp"
 
+namespace pml {
+class Trace;
+}
+
 namespace pml::mp {
 
 /// A rank's incoming message queue.
 class Mailbox {
  public:
-  /// What the post-delivery progress hook gets to see: a snapshot taken
-  /// under the lock so the hook itself can run *outside* it.
-  struct DeliveryInfo {
-    int source = -1;
-    int tag = 0;
-    int context = 0;
-    std::size_t bytes = 0;
-  };
-
+  /// A standalone mailbox: owned by no rank, and counting nothing.
   Mailbox() = default;
+
+  /// Rank \p owner's mailbox in a job. It feeds the job's deadlock
+  /// watchdog: \p blocked counts the owner while it waits indefinitely for
+  /// a message, and \p deliveries counts every deposit. \p trace, when
+  /// non-null, records each delivery as (source, "message", owner, bytes).
+  /// The counters and the trace must outlive the mailbox.
+  Mailbox(int owner, std::atomic<int>& blocked, std::atomic<std::uint64_t>& deliveries,
+          pml::Trace* trace)
+      : blocked_(&blocked), deliveries_(&deliveries), trace_(trace), owner_(owner) {}
+
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
@@ -65,20 +70,25 @@ class Mailbox {
 
   /// Deposits a message *bypassing* the fault-injection shim. Reserved for
   /// runtime-internal traffic that must not be dropped, duplicated, or
-  /// crashed: checkpoint barrier tokens and release envelopes, and the
-  /// channel-state envelopes replayed into a restored rank's mailbox.
-  /// User messages always go through deliver().
+  /// crashed: checkpoint barrier tokens and release envelopes. User
+  /// messages always go through deliver().
   void deposit_trusted(Envelope e);
+
+  /// Files an envelope replayed from a checkpoint's channel state, before
+  /// the job's ranks run. Bypasses fault injection like deposit_trusted(),
+  /// and is neither counted as a delivery nor traced: the message was
+  /// counted and traced when it was first delivered.
+  void restore(Envelope e);
 
   /// Blocks until a matching message arrives, removes and returns it.
   /// Throws RuntimeFault if the runtime shuts down while waiting.
   Envelope receive(int context, int source, int tag);
 
   /// Like receive() but gives up after \p timeout; nullopt on timeout.
-  /// A \p timeout <= 0 means "poll once": it short-circuits to
-  /// try_receive() — no wait, no posted entry, and no timeout analysis
-  /// event. Used by deadlock-detection tests, the deadlock patternlet,
-  /// and the retry layer's deadline slicing.
+  /// A \p timeout <= 0 means "poll once", exactly try_receive(): no wait,
+  /// no posted entry, and no timeout analysis event. Used by
+  /// deadlock-detection tests, the deadlock patternlet, and the retry
+  /// layer's deadline slicing.
   std::optional<Envelope> receive_for(int context, int source, int tag,
                                       std::chrono::milliseconds timeout);
 
@@ -97,22 +107,9 @@ class Mailbox {
   /// joins is an unmatched send).
   std::vector<Envelope> snapshot() const;
 
-  /// Records the owning rank so analysis events can name it.
-  void set_owner(int rank);
-
   /// Marks the runtime as shutting down: pending and future blocking
   /// receives throw RuntimeFault instead of hanging forever.
   void poison();
-
-  /// Progress hooks for the runtime's deadlock watchdog and message
-  /// tracing: \p block_delta is called with +1 when the owner starts
-  /// waiting for a message and -1 when it stops; \p delivered with a
-  /// snapshot of each envelope after every deliver(). \p delivered runs
-  /// *after* the mailbox lock is released, so it may itself touch the
-  /// mailbox; \p block_delta still runs around waits and must be cheap
-  /// and thread-safe.
-  void set_progress_hooks(std::function<void(int)> block_delta,
-                          std::function<void(const DeliveryInfo&)> delivered);
 
  private:
   /// Exact bucket key for the unexpected-message store.
@@ -135,9 +132,9 @@ class Mailbox {
   };
   using Store = std::unordered_map<MatchKey, std::deque<Envelope>, MatchKeyHash>;
 
-  /// One blocked receive, stack-allocated in receive()/receive_for() and
-  /// linked into posted_ while waiting. The deliverer fills env, flips
-  /// state, and wakes *this entry only*.
+  /// One blocked receive, stack-allocated in receive_into() and linked
+  /// into posted_ while waiting. The deliverer fills env, flips state, and
+  /// wakes *this entry only*.
   struct PostedReceive {
     int context;
     int source;
@@ -146,6 +143,20 @@ class Mailbox {
     std::atomic<std::uint32_t> state{kPending};
     Envelope env;
     std::condition_variable cv;
+
+    /// Publishes \p final_state (kFilled or kPoisoned) and wakes the
+    /// waiter. Called under mu_: the woken receiver re-locks mu_ before it
+    /// touches the entry, so this never notifies into freed stack memory.
+    void complete(std::uint32_t final_state) {
+      if (timed) {
+        state.store(final_state, std::memory_order_release);
+        cv.notify_one();
+      } else if (state.exchange(final_state, std::memory_order_acq_rel) == kParked) {
+        // Wake syscall only when the receiver actually parked; a receiver
+        // still in its spin/yield phase sees the exchange on its next load.
+        state.notify_one();
+      }
+    }
   };
   static constexpr std::uint32_t kPending = 0;
   static constexpr std::uint32_t kFilled = 1;
@@ -156,9 +167,16 @@ class Mailbox {
   /// never use this value — their condvar always gets a notify.
   static constexpr std::uint32_t kParked = 3;
 
-  /// The real deposit: matching, targeted wakeup or filing, progress hook.
-  /// deliver() is the thin fault-injection shim in front of this.
-  void deposit(Envelope e);
+  /// The real deposit: matching, targeted wakeup or filing, then (when
+  /// \p counted) the delivery count and trace. deliver() is the thin
+  /// fault-injection shim in front of this.
+  void deposit(Envelope e, bool counted = true);
+  /// The one receive behind receive(), receive_for() and try_receive():
+  /// moves the earliest matching message into \p out and returns true, or
+  /// returns false once \p timeout expires. No \p timeout waits
+  /// indefinitely; a \p timeout <= 0 polls once.
+  bool receive_into(int context, int source, int tag,
+                    std::optional<std::chrono::milliseconds> timeout, Envelope& out);
   /// Moves the earliest-arrival matching message into \p out (returns true),
   /// firing the analyze/obs match events on the calling (receiver) thread.
   /// Returns false, leaving \p out untouched, when nothing matches.
@@ -191,10 +209,15 @@ class Mailbox {
   std::deque<PostedReceive*> posted_;    ///< Blocked receives, post order.
   std::uint64_t arrival_seq_ = 0;        ///< Next arrival stamp.
   std::size_t total_queued_ = 0;         ///< Envelopes across all buckets.
-  std::function<void(int)> block_delta_;
-  std::function<void(const DeliveryInfo&)> delivered_;
   bool poisoned_ = false;
-  int owner_ = -1;  ///< Owning rank (analysis diagnostics).
+  /// \name The owning job's watchdog counters and message trace (all null
+  /// for a standalone mailbox). Set at construction, never reassigned.
+  /// @{
+  std::atomic<int>* const blocked_ = nullptr;
+  std::atomic<std::uint64_t>* const deliveries_ = nullptr;
+  pml::Trace* const trace_ = nullptr;
+  /// @}
+  const int owner_ = -1;  ///< Owning rank (diagnostics, trace, fault lanes).
 };
 
 }  // namespace pml::mp

@@ -22,9 +22,12 @@ namespace pml::mp {
 
 namespace detail {
 
-RuntimeState::RuntimeState(int np, Cluster c) : nprocs(np), cluster(std::move(c)) {
+RuntimeState::RuntimeState(int np, Cluster c, pml::Trace* message_trace)
+    : nprocs(np), cluster(std::move(c)) {
   mailboxes.reserve(static_cast<std::size_t>(np));
-  for (int r = 0; r < np; ++r) mailboxes.push_back(std::make_unique<Mailbox>());
+  for (int r = 0; r < np; ++r) {
+    mailboxes.push_back(std::make_unique<Mailbox>(r, blocked, deliveries, message_trace));
+  }
   ckpt_calls.assign(static_cast<std::size_t>(np), 0);
   ckpt_restore_pending.assign(static_cast<std::size_t>(np), 0);
   ckpt_restore_blob.resize(static_cast<std::size_t>(np));
@@ -163,7 +166,8 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
     Cluster cluster = options.cluster;
     for (const auto& [r, n] : rehost) cluster.rehost(r, n);
 
-    auto state = std::make_shared<detail::RuntimeState>(nprocs, std::move(cluster));
+    auto state = std::make_shared<detail::RuntimeState>(nprocs, std::move(cluster),
+                                                        options.message_trace);
     state->start_time = pml::smp::wtime();
     state->collective_timeout = collective_timeout;
     state->eager_bytes = eager_bytes;
@@ -226,7 +230,7 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
             e.send_ns = 0;
             e.flow = 0;
             e.seq = 0;
-            state->mailboxes[idx]->deposit_trusted(std::move(e));
+            state->mailboxes[idx]->restore(std::move(e));
           }
           for (const ckpt::ParkedCopy& pc : rs.parks) {
             RendezvousTable::Parked parked;
@@ -245,23 +249,6 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
         }
         store->note_restored_ranks(nprocs);
       }
-    }
-
-    // Progress hooks feeding the deadlock watchdog and the message trace.
-    for (int dest = 0; dest < nprocs; ++dest) {
-      state->mailboxes[static_cast<std::size_t>(dest)]->set_owner(dest);
-      state->mailboxes[static_cast<std::size_t>(dest)]->set_progress_hooks(
-          [state = state.get()](int delta) {
-            state->blocked.fetch_add(delta, std::memory_order_relaxed);
-          },
-          [state = state.get(), trace = options.message_trace,
-           dest](const Mailbox::DeliveryInfo& m) {
-            state->deliveries.fetch_add(1, std::memory_order_relaxed);
-            if (trace != nullptr) {
-              trace->record(m.source, "message", dest,
-                            static_cast<std::int64_t>(m.bytes));
-            }
-          });
     }
 
     std::vector<int> world_group(static_cast<std::size_t>(nprocs));

@@ -39,11 +39,12 @@ namespace detail {
 
 /// Process-global state of one message-passing job.
 struct RuntimeState {
-  RuntimeState(int np, Cluster c);
+  /// Builds the job's mailboxes, which count into blocked/deliveries and
+  /// record every delivery in \p message_trace (when non-null).
+  RuntimeState(int np, Cluster c, pml::Trace* message_trace);
 
   const int nprocs;
   const Cluster cluster;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes;
 
   /// \name Progress accounting for the deadlock watchdog
   /// @{
@@ -52,6 +53,8 @@ struct RuntimeState {
   std::atomic<std::uint64_t> deliveries{0};  ///< Total messages delivered.
   std::atomic<bool> deadlock_detected{false};
   /// @}
+
+  std::vector<std::unique_ptr<Mailbox>> mailboxes;
 
   /// Synchronous-send acknowledgement table (keyed by ack id).
   std::mutex ack_mu;

@@ -25,8 +25,8 @@
 
 #include "analyze/analyze.hpp"
 #include "obs/obs.hpp"
-#include "sched/coop.hpp"
 #include "sched/sched.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::smp {
 
@@ -97,35 +97,36 @@ class OrderedTicket {
   OrderedTicket(const OrderedTicket&) = delete;
   OrderedTicket& operator=(const OrderedTicket&) = delete;
 
-  /// Blocks until it is \p ticket's turn, runs fn, then admits ticket+1.
+  /// Blocks until it is \p ticket's turn, runs fn, then admits ticket+1 —
+  /// also when fn throws, so a failed turn cannot hang every later one.
   template <typename Fn>
   void run_in_order(std::int64_t ticket, Fn&& fn) {
+    // The user's fn runs under mu_ and can pass serialization points, so
+    // both the acquisition and the turn wait re-poll under a sink.
     std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-    if (sched::coop_active()) {
-      // The user's fn runs under mu_ and can pass serialization points, so
-      // both the acquisition and the turn wait must re-poll cooperatively
-      // rather than park an OS thread on a mutex whose holder is parked.
-      while (!lock.try_lock()) sched::coop_block(this);
-      while (next_ != ticket) {
-        lock.unlock();
-        sched::coop_block(this);
-        while (!lock.try_lock()) sched::coop_block(this);
-      }
-    } else {
-      lock.lock();
-      cv_.wait(lock, [&] { return next_ == ticket; });
-    }
+    pml::thread::lock_on(lock, this);
+    pml::thread::wait_relocking(cv_, lock, this, [&] { return next_ == ticket; });
     // Turn k's writes happen-before turn k+1 — `ordered` forms a chain.
     analyze::on_sync_acquire(this);
-    fn();
-    analyze::on_sync_release(this);
-    ++next_;
-    lock.unlock();
-    cv_.notify_all();
-    sched::coop_wake(this);
+    try {
+      fn();
+    } catch (...) {
+      admit_next(lock);
+      throw;
+    }
+    admit_next(lock);
   }
 
  private:
+  /// Ends the current turn: releases it to the analyzer, advances the
+  /// ticket, and wakes the waiting turns.
+  void admit_next(std::unique_lock<std::mutex>& lock) {
+    analyze::on_sync_release(this);
+    ++next_;
+    lock.unlock();
+    pml::thread::notify_all(cv_, this);
+  }
+
   std::mutex mu_;
   std::condition_variable cv_;
   std::int64_t next_;

@@ -20,7 +20,7 @@
 #include "analyze/analyze.hpp"
 #include "core/error.hpp"
 #include "obs/obs.hpp"
-#include "sched/coop.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::smp::detail {
 
@@ -52,8 +52,7 @@ class TaskPool {
     // race for the task, finds in_flight_ still nonzero and waits again —
     // the quiescence half of the predicate cannot have been made true by a
     // push, so the waiters left asleep were not eligible to run.
-    changed_.notify_one();
-    sched::coop_wake(this);
+    pml::thread::notify_one(changed_, this);
   }
 
   /// Pops one task if available; the caller MUST call finished() after
@@ -82,10 +81,7 @@ class TaskPool {
     // releases *every* taskwait/barrier helper at once, so that (and only
     // that) is a broadcast; decrementing 5 -> 4 used to notify_all every
     // parked helper just so each could recheck and sleep again.
-    if (quiescent) {
-      changed_.notify_all();
-      sched::coop_wake(this);
-    }
+    if (quiescent) pml::thread::notify_all(changed_, this);
   }
 
   /// Pops and executes one pending task on the calling thread (tracking
@@ -134,13 +130,8 @@ class TaskPool {
       if (!queue_.empty()) continue;  // raced with a push; go help again
       // Tasks are executing on other threads (and may spawn more): wait
       // for the pool to change, then re-check.
-      if (sched::coop_active()) {
-        while (!(in_flight_ == 0 || !queue_.empty())) {
-          sched::coop_block(this, &lock);
-        }
-      } else {
-        changed_.wait(lock, [this] { return in_flight_ == 0 || !queue_.empty(); });
-      }
+      pml::thread::wait_on(changed_, lock, this,
+                           [this] { return in_flight_ == 0 || !queue_.empty(); });
       if (in_flight_ == 0) {
         analyze::on_sync_acquire(this);
         return;

@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "sched/coop.hpp"
 #include "sched/sched.hpp"
+#include "thread/adaptive_wait.hpp"
 #include "thread/thread.hpp"
 
 namespace pml::smp {
@@ -61,21 +62,18 @@ void parallel(const std::function<void(Region&)>& body) { parallel(0, body); }
 void Region::critical(const std::string& name, const std::function<void()>& fn) {
   std::mutex& mu = critical_mutex(name);
   sched::point_at(sched::Point::kLockAcquire, &mu);
-  if (sched::coop_active()) {
-    // The critical body is user code that can pass serialization points
-    // while holding mu, so the acquisition must re-poll cooperatively.
-    while (!mu.try_lock()) sched::coop_block(&mu);
-  } else if (obs::active() && !mu.try_lock()) {
-    // While profiling, probe first so only a contended entry opens a
-    // lock-wait span (labelled with the critical's name); off, the path is
-    // the plain blocking acquisition.
-    obs::SpanScope wait{
-        obs::SpanKind::kLockWait,
-        obs::intern(name.empty() ? "critical" : "critical(" + name + ")"),
-        static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(&mu))};
-    mu.lock();
-  } else if (!obs::active()) {
-    mu.lock();
+  if (!mu.try_lock()) {
+    // Probe first so only a contended entry opens a lock-wait span,
+    // labelled with the critical's name while profiling. The critical body
+    // is user code that can pass serialization points while holding mu,
+    // which is why the acquisition is a lock_on.
+    const char* label = nullptr;
+    if (obs::active()) {
+      label = obs::intern(name.empty() ? "critical" : "critical(" + name + ")");
+    }
+    obs::SpanScope wait{obs::SpanKind::kLockWait, label,
+                        static_cast<std::int64_t>(reinterpret_cast<std::uintptr_t>(&mu))};
+    pml::thread::lock_on(mu, &mu);
   }
   {
     std::lock_guard lock(mu, std::adopt_lock);

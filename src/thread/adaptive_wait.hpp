@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file adaptive_wait.hpp
-/// \brief Shared spin-then-park waiter for the blocking substrates.
+/// \brief Shared waits for the blocking substrates: the spin-then-park
+/// waiter for atomic words, and the verifier-aware condvar waits and wakes
+/// every lock, event and pool in pml::thread and pml::smp blocks through.
 ///
-/// Every blocking wait in the substrates (mailbox receive, thread::Barrier,
+/// Every blocking wait on an atomic word (mailbox receive, thread::Barrier,
 /// and through it the smp team barrier) faces the same trade-off: a futex
 /// park costs two syscalls plus a context switch each way (~microseconds),
 /// while the event being waited for — a partner's message, the last barrier
@@ -27,6 +29,9 @@
 /// tests see exactly the interleavings they saw with the old condvar waits.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "sched/coop.hpp"
@@ -127,5 +132,86 @@ inline T adaptive_wait_and_advertise(std::atomic<T>& word, T pending,
     if (v != parked) return v;  // the waker never writes `pending` back
   }
 }
+
+/// \name Verifier-aware condvar waits and wakes
+/// How a primitive blocks, decided in one place. Under a cooperative sink
+/// (pml::verify's scheduler) exactly one lane runs at a time, so a wait
+/// must never park the OS thread that holds the run token: it becomes a
+/// `while (!ready()) sched::coop_block(key, &lock)` re-poll loop, and the
+/// sink picks the lane that runs next. Natively it is the plain condvar
+/// wait. \p key names the waited-on resource to the sink; wakers pass the
+/// same key to notify_one / notify_all.
+/// @{
+
+/// Blocks on \p cv, under \p lock, until ready() holds.
+template <typename Ready>
+void wait_on(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+             const void* key, Ready ready) {
+  if (sched::coop_active()) {
+    while (!ready()) sched::coop_block(key, &lock);
+  } else {
+    cv.wait(lock, ready);
+  }
+}
+
+/// wait_on bounded by \p timeout; returns ready(). Under a sink the timeout
+/// is logical: it is granted only when no untimed lane can progress, so a
+/// timed wait neither races the clock nor stalls exploration.
+template <typename Rep, typename Period, typename Ready>
+bool wait_on_for(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                 const void* key, std::chrono::duration<Rep, Period> timeout,
+                 Ready ready) {
+  if (!sched::coop_active()) return cv.wait_for(lock, timeout, ready);
+  while (!ready()) {
+    if (sched::coop_block(key, &lock, /*timed=*/true)) return ready();
+  }
+  return true;
+}
+
+/// Acquires \p mu, a lock whose holder may keep it across user code that
+/// passes serialization points and parks (Mutex, critical, Monitor,
+/// OrderedTicket). Under a sink the acquisition re-polls try_lock: a
+/// native block on a mutex whose holder is parked would stall every lane.
+template <typename Lockable>
+void lock_on(Lockable& mu, const void* key) {
+  if (sched::coop_active()) {
+    while (!mu.try_lock()) sched::coop_block(key);
+  } else {
+    mu.lock();
+  }
+}
+
+/// wait_on for a lock taken with lock_on: under a sink the lock is dropped
+/// around each block and re-taken by re-polling, because another lane can
+/// park inside user code while holding it.
+template <typename Ready>
+void wait_relocking(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                    const void* key, Ready ready) {
+  if (!sched::coop_active()) {
+    cv.wait(lock, ready);
+    return;
+  }
+  while (!ready()) {
+    lock.unlock();
+    sched::coop_block(key);
+    lock_on(lock, key);
+  }
+}
+
+/// Wakes one native waiter of \p waitable (a condvar or an atomic word)
+/// and every lane the sink has parked on \p key.
+template <typename Waitable>
+void notify_one(Waitable& waitable, const void* key) {
+  waitable.notify_one();
+  sched::coop_wake(key);
+}
+
+/// Wakes every native waiter of \p waitable and every lane parked on \p key.
+template <typename Waitable>
+void notify_all(Waitable& waitable, const void* key) {
+  waitable.notify_all();
+  sched::coop_wake(key);
+}
+/// @}
 
 }  // namespace pml::thread

@@ -68,8 +68,7 @@ class Barrier {
       // (and every arriver's prior writes) visible to departing waiters.
       count_.store(parties_, std::memory_order_relaxed);
       phase_.store(my_phase + 1, std::memory_order_release);
-      phase_.notify_all();
-      sched::coop_wake(&phase_);
+      notify_all(phase_, &phase_);
       analyze::on_barrier_depart(this, my_phase);
       return true;
     }

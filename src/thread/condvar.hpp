@@ -10,7 +10,7 @@
 #include <mutex>
 
 #include "analyze/analyze.hpp"
-#include "sched/coop.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::thread {
 
@@ -34,18 +34,13 @@ class Event {
       analyze::on_sync_release(this);
       signaled_ = true;
     }
-    cv_.notify_all();
-    sched::coop_wake(this);
+    notify_all(cv_, this);
   }
 
   /// Blocks until set() has been called.
   void wait() {
     std::unique_lock lock(mu_);
-    if (sched::coop_active()) {
-      while (!signaled_) sched::coop_block(this, &lock);
-    } else {
-      cv_.wait(lock, [this] { return signaled_; });
-    }
+    wait_on(cv_, lock, this, [this] { return signaled_; });
     analyze::on_sync_acquire(this);
   }
 
@@ -57,14 +52,7 @@ class Event {
   /// stall exploration.
   bool wait_for(std::chrono::milliseconds timeout) {
     std::unique_lock lock(mu_);
-    if (sched::coop_active()) {
-      while (!signaled_) {
-        if (sched::coop_block(this, &lock, /*timed=*/true)) break;
-      }
-      if (signaled_) analyze::on_sync_acquire(this);
-      return signaled_;
-    }
-    const bool ok = cv_.wait_for(lock, timeout, [this] { return signaled_; });
+    const bool ok = wait_on_for(cv_, lock, this, timeout, [this] { return signaled_; });
     if (ok) analyze::on_sync_acquire(this);
     return ok;
   }
@@ -103,59 +91,15 @@ class Monitor {
   template <typename Fn>
   auto with_lock(Fn&& fn) {
     std::unique_lock lock = acquire();
-    if constexpr (std::is_void_v<decltype(fn(value_))>) {
-      {
-        analyze::LockedRegion held(&mu_, "monitor");
-        fn(value_);
-      }
-      lock.unlock();
-      cv_.notify_all();
-      sched::coop_wake(this);
-    } else {
-      auto result = [&] {
-        analyze::LockedRegion held(&mu_, "monitor");
-        return fn(value_);
-      }();
-      lock.unlock();
-      cv_.notify_all();
-      sched::coop_wake(this);
-      return result;
-    }
+    return call_and_notify(lock, fn);
   }
 
   /// Blocks until pred(value) holds, then runs fn(value) under the lock.
   template <typename Pred, typename Fn>
   auto wait_then(Pred&& pred, Fn&& fn) {
     std::unique_lock lock = acquire();
-    if (sched::coop_active()) {
-      // Unlock/relock by hand: the relock must be a cooperative re-poll
-      // too, because another lane can park *inside* fn while holding mu_.
-      while (!pred(value_)) {
-        lock.unlock();
-        sched::coop_block(this);
-        while (!lock.try_lock()) sched::coop_block(this);
-      }
-    } else {
-      cv_.wait(lock, [&] { return pred(value_); });
-    }
-    if constexpr (std::is_void_v<decltype(fn(value_))>) {
-      {
-        analyze::LockedRegion held(&mu_, "monitor");
-        fn(value_);
-      }
-      lock.unlock();
-      cv_.notify_all();
-      sched::coop_wake(this);
-    } else {
-      auto result = [&] {
-        analyze::LockedRegion held(&mu_, "monitor");
-        return fn(value_);
-      }();
-      lock.unlock();
-      cv_.notify_all();
-      sched::coop_wake(this);
-      return result;
-    }
+    wait_relocking(cv_, lock, this, [&] { return pred(value_); });
+    return call_and_notify(lock, fn);
   }
 
   /// Copy of the current value.
@@ -166,17 +110,32 @@ class Monitor {
 
  private:
   /// Locks mu_. A monitor holds its mutex across user code — code that
-  /// can pass serialization points and park — so under cooperative
-  /// verification the acquisition must be a re-poll loop, never a native
-  /// block on a mutex whose holder is parked.
+  /// can pass serialization points and park — so it is taken with lock_on.
   std::unique_lock<std::mutex> acquire() const {
     std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-    if (sched::coop_active()) {
-      while (!lock.try_lock()) sched::coop_block(this);
-    } else {
-      lock.lock();
-    }
+    lock_on(lock, this);
     return lock;
+  }
+
+  /// Runs fn(value) under the held \p lock, then unlocks and wakes the
+  /// waiters; returns what fn returns. A throwing fn wakes nobody: the
+  /// caller's lock just unlocks as it unwinds.
+  template <typename Fn>
+  auto call_and_notify(std::unique_lock<std::mutex>& lock, Fn& fn) {
+    const auto locked_call = [&] {
+      analyze::LockedRegion held(&mu_, "monitor");
+      return fn(value_);
+    };
+    if constexpr (std::is_void_v<decltype(fn(value_))>) {
+      locked_call();
+      lock.unlock();
+      notify_all(cv_, this);
+    } else {
+      auto result = locked_call();
+      lock.unlock();
+      notify_all(cv_, this);
+      return result;
+    }
   }
 
   mutable std::mutex mu_;

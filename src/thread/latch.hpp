@@ -13,7 +13,7 @@
 
 #include "analyze/analyze.hpp"
 #include "core/error.hpp"
-#include "sched/coop.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::thread {
 
@@ -35,20 +35,13 @@ class Latch {
     // Everything the counter did happens-before any post-gate waiter.
     analyze::on_sync_release(this);
     count_ -= n;
-    if (count_ == 0) {
-      open_.notify_all();
-      sched::coop_wake(this);
-    }
+    if (count_ == 0) notify_all(open_, this);
   }
 
   /// Blocks until the count reaches zero.
   void wait() {
     std::unique_lock lock(mu_);
-    if (sched::coop_active()) {
-      while (count_ != 0) sched::coop_block(this, &lock);
-    } else {
-      open_.wait(lock, [this] { return count_ == 0; });
-    }
+    wait_on(open_, lock, this, [this] { return count_ == 0; });
     analyze::on_sync_acquire(this);
   }
 

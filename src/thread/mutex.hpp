@@ -23,6 +23,7 @@
 #include "obs/obs.hpp"
 #include "sched/coop.hpp"
 #include "sched/sched.hpp"
+#include "thread/adaptive_wait.hpp"
 #include "thread/annotations.hpp"
 
 namespace pml::thread {
@@ -46,17 +47,11 @@ class PML_CAPABILITY("mutex") Mutex {
 
   void lock() PML_ACQUIRE() {
     sched::point_at(sched::Point::kLockAcquire, this);
-    if (sched::coop_active()) {
-      // Cooperative verification: never park the OS thread holding the run
-      // token — re-poll under the scheduler instead.
-      while (!mu_.try_lock()) sched::coop_block(this);
-    } else if (!obs::active()) {
-      // While profiling, probe first so only a *contended* acquisition
-      // opens a lock-wait span; off, the path is the raw blocking lock.
-      mu_.lock();
-    } else if (!mu_.try_lock()) {
+    if (!mu_.try_lock()) {
+      // Probe first so only a *contended* acquisition opens a lock-wait
+      // span (free when profiling is off).
       obs::SpanScope wait{obs::SpanKind::kLockWait, "mutex", detail::lock_key(this)};
-      mu_.lock();
+      lock_on(mu_, this);
     }
     analyze::on_lock_acquired(this);
   }
@@ -145,15 +140,12 @@ class PML_CAPABILITY("mutex") RwLock {
     sched::point_at(sched::Point::kLockAcquire, this);
     {
       std::unique_lock lock(mu_);
-      if (sched::coop_active()) {
-        while (writers_waiting_ != 0 || writer_active_) {
-          sched::coop_block(this, &lock);
-        }
-      } else if (writers_waiting_ != 0 || writer_active_) {
+      if (writers_waiting_ != 0 || writer_active_) {
         // Blocked behind a writer: that wait is the contention span.
         obs::SpanScope wait{obs::SpanKind::kLockWait, "rwlock-read",
                             detail::lock_key(this)};
-        readers_ok_.wait(lock, [this] { return writers_waiting_ == 0 && !writer_active_; });
+        wait_on(readers_ok_, lock, this,
+                [this] { return writers_waiting_ == 0 && !writer_active_; });
       }
       ++readers_active_;
     }
@@ -172,14 +164,11 @@ class PML_CAPABILITY("mutex") RwLock {
     {
       std::unique_lock lock(mu_);
       ++writers_waiting_;
-      if (sched::coop_active()) {
-        while (readers_active_ != 0 || writer_active_) {
-          sched::coop_block(this, &lock);
-        }
-      } else if (readers_active_ != 0 || writer_active_) {
+      if (readers_active_ != 0 || writer_active_) {
         obs::SpanScope wait{obs::SpanKind::kLockWait, "rwlock-write",
                             detail::lock_key(this)};
-        writers_ok_.wait(lock, [this] { return readers_active_ == 0 && !writer_active_; });
+        wait_on(writers_ok_, lock, this,
+                [this] { return readers_active_ == 0 && !writer_active_; });
       }
       --writers_waiting_;
       writer_active_ = true;

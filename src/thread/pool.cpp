@@ -6,6 +6,7 @@
 #include "analyze/analyze.hpp"
 #include "obs/obs.hpp"
 #include "sched/coop.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::thread {
 
@@ -38,17 +39,12 @@ void Pool::submit(Task task) {
     if (stopping_) throw RuntimeFault("Pool::submit after shutdown");
     queue_.push_back(std::move(task));
   }
-  work_ready_.notify_one();
-  sched::coop_wake(&work_ready_);
+  notify_one(work_ready_, &work_ready_);
 }
 
 void Pool::wait_idle() {
   std::unique_lock lock(mu_);
-  if (sched::coop_active()) {
-    while (!(queue_.empty() && active_ == 0)) sched::coop_block(&idle_, &lock);
-  } else {
-    idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  }
+  wait_on(idle_, lock, &idle_, [this] { return queue_.empty() && active_ == 0; });
   // Join edge: every completed task's writes happen-before the master's
   // post-quiescence reads.
   analyze::on_sync_acquire(this);
@@ -66,8 +62,7 @@ void Pool::shutdown() {
     if (stopping_) return;
     stopping_ = true;
   }
-  work_ready_.notify_all();
-  sched::coop_wake(&work_ready_);
+  notify_all(work_ready_, &work_ready_);
   sched::coop_join(this);
   join_all(threads_);
 }
@@ -92,13 +87,8 @@ void Pool::worker_body(int id) {
     Task task;
     {
       std::unique_lock lock(mu_);
-      if (sched::coop_active()) {
-        while (!(stopping_ || !queue_.empty())) {
-          sched::coop_block(&work_ready_, &lock);
-        }
-      } else {
-        work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      }
+      wait_on(work_ready_, lock, &work_ready_,
+              [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ with drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -118,10 +108,7 @@ void Pool::worker_body(int id) {
       ++executed_[static_cast<std::size_t>(id)];
       --active_;
       if (error && !first_error_) first_error_ = error;
-      if (queue_.empty() && active_ == 0) {
-        idle_.notify_all();
-        sched::coop_wake(&idle_);
-      }
+      if (queue_.empty() && active_ == 0) notify_all(idle_, &idle_);
     }
   }
 }

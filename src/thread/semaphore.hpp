@@ -12,7 +12,7 @@
 
 #include "analyze/analyze.hpp"
 #include "core/error.hpp"
-#include "sched/coop.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::thread {
 
@@ -34,18 +34,13 @@ class Semaphore {
       analyze::on_sync_release(this);
       ++count_;
     }
-    cv_.notify_one();
-    sched::coop_wake(this);
+    notify_one(cv_, this);
   }
 
   /// P / wait: blocks until the count is positive, then decrements it.
   void wait() {
     std::unique_lock lock(mu_);
-    if (sched::coop_active()) {
-      while (count_ <= 0) sched::coop_block(this, &lock);
-    } else {
-      cv_.wait(lock, [this] { return count_ > 0; });
-    }
+    wait_on(cv_, lock, this, [this] { return count_ > 0; });
     analyze::on_sync_acquire(this);
     --count_;
   }

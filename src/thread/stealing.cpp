@@ -9,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "sched/coop.hpp"
 #include "sched/sched.hpp"
+#include "thread/adaptive_wait.hpp"
 
 namespace pml::thread {
 
@@ -76,8 +77,7 @@ void StealingPool::submit(Task task) {
   // its lock and sees the new work; a worker *between* its failed sweep and
   // its nap sees the flipped epoch in the nap predicate and never sleeps.
   work_epoch_.fetch_add(1, std::memory_order_release);
-  work_cv_.notify_all();
-  sched::coop_wake(&work_cv_);
+  notify_all(work_cv_, &work_cv_);
 }
 
 std::optional<StealingPool::Task> StealingPool::find_work(int id) {
@@ -133,8 +133,7 @@ void StealingPool::worker_body(int id) {
         ++executed_[static_cast<std::size_t>(id)];
         if (error && !first_error_) first_error_ = error;
         if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          idle_cv_.notify_all();
-          sched::coop_wake(&idle_cv_);
+          notify_all(idle_cv_, &idle_cv_);
         }
       }
       // Busy-worker handoff: if this deque still holds work while siblings
@@ -144,8 +143,7 @@ void StealingPool::worker_body(int id) {
       // "imbalanced load never gets stolen" starvation.
       if (deques_[static_cast<std::size_t>(id)]->size() > 0) {
         if (nappers_.load(std::memory_order_relaxed) > 0) {
-          work_cv_.notify_all();
-          sched::coop_wake(&work_cv_);
+          notify_all(work_cv_, &work_cv_);
         }
         std::this_thread::yield();
       }
@@ -158,33 +156,18 @@ void StealingPool::worker_body(int id) {
     // submit landing between our sweep and this wait is never missed.
     std::unique_lock lock(nap_mu_);
     nappers_.fetch_add(1, std::memory_order_relaxed);
-    if (sched::coop_active()) {
-      // Timed nap: the logical timeout fires only when no untimed lane can
-      // progress, standing in for the 200us backstop against silent steals.
-      while (work_epoch_.load(std::memory_order_acquire) == epoch &&
-             !stopping_.load(std::memory_order_acquire)) {
-        if (sched::coop_block(&work_cv_, &lock, /*timed=*/true)) break;
-      }
-    } else {
-      work_cv_.wait_for(lock, std::chrono::microseconds(200), [&] {
-        return work_epoch_.load(std::memory_order_acquire) != epoch ||
-               stopping_.load(std::memory_order_acquire);
-      });
-    }
+    (void)wait_on_for(work_cv_, lock, &work_cv_, std::chrono::microseconds(200), [&] {
+      return work_epoch_.load(std::memory_order_acquire) != epoch ||
+             stopping_.load(std::memory_order_acquire);
+    });
     nappers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 void StealingPool::wait_idle() {
   std::unique_lock lock(mu_);
-  if (sched::coop_active()) {
-    while (in_flight_.load(std::memory_order_acquire) != 0) {
-      sched::coop_block(&idle_cv_, &lock);
-    }
-  } else {
-    idle_cv_.wait(lock,
-                  [this] { return in_flight_.load(std::memory_order_acquire) == 0; });
-  }
+  wait_on(idle_cv_, lock, &idle_cv_,
+          [this] { return in_flight_.load(std::memory_order_acquire) == 0; });
   // Join edge: completed tasks' writes happen-before post-quiescence reads.
   analyze::on_sync_acquire(this);
   if (first_error_) {
@@ -198,8 +181,7 @@ void StealingPool::wait_idle() {
 void StealingPool::shutdown() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
-  work_cv_.notify_all();
-  sched::coop_wake(&work_cv_);
+  notify_all(work_cv_, &work_cv_);
   sched::coop_join(this);
   join_all(threads_);  // workers drain remaining work before exiting
 }

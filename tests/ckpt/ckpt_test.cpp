@@ -17,6 +17,7 @@
 
 #include "ckpt/snapshot.hpp"
 #include "core/error.hpp"
+#include "core/trace.hpp"
 #include "fault/fault.hpp"
 #include "mp/communicator.hpp"
 #include "mp/op.hpp"
@@ -448,6 +449,41 @@ TEST(CkptRun, InFlightMessageIsReplayedFromTheCut) {
   EXPECT_GE(fault::stats().crashed, 1u);
   EXPECT_GE(scope.store().stats().restarts, 1u);
   EXPECT_TRUE(fault::crashed_ranks().empty());
+}
+
+TEST(CkptRun, RestoredChannelStateIsNotTraced) {
+  // Two ranks, one per node. Each commit costs rank 1 three receive
+  // checkpoints (entry barrier, exit barrier, release), so @6 kills it at
+  // its first receive after the second cut, which holds rank 0's message.
+  // The first attempt delivers 13 messages: 6 per commit (2 entry tokens,
+  // 2 exit tokens, 2 releases) plus the user send. The replayed envelope
+  // reaches rank 1 from the restored channel state; it was traced when it
+  // was first delivered and must not be traced again.
+  fault::FaultScope faults{fault::FaultPlan::parse("crash:node-02@6")};
+  pml::Trace trace;
+  mp::RunOptions opts;
+  opts.cluster = mp::Cluster(2, 1, mp::Placement::kBlock);
+  opts.checkpoint_interval = 1;
+  opts.message_trace = &trace;
+  std::atomic<int> got{0};
+
+  EXPECT_NO_THROW(mp::run(
+      2,
+      [&](mp::Communicator& world) {
+        int step = 0;
+        world.checkpoint("step", step);
+        if (step == 0) {
+          if (world.rank() == 0) world.send(42, 1, 7);
+          step = 1;
+          world.checkpoint("step", step);
+        }
+        if (world.rank() == 1) got = world.recv<int>(0, 7);
+      },
+      opts));
+
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(fault::stats().crashed, 1u);
+  EXPECT_EQ(trace.events("message").size(), 13u);
 }
 
 // ---------------------------------------------------------------------------

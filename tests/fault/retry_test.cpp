@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "fault/fault.hpp"
@@ -71,6 +72,41 @@ TEST(SendWithRetry, GivesUpOnADeadLinkWithADiagnosis) {
   EXPECT_TRUE(gave_up.load());
   EXPECT_TRUE(receiver_saw_nothing.load());
   EXPECT_EQ(fault::stats().dropped, 3u);  // one per attempt
+}
+
+/// Backoff schedules whose wait slices cannot grow past zero: each one
+/// would make the retry loops resend or re-poll without waiting.
+std::vector<RetryPolicy> policies_that_cannot_wait() {
+  std::vector<RetryPolicy> out(4);
+  out[0].backoff_multiplier = 0;
+  out[1].backoff_multiplier = -2;
+  out[2].max_backoff = 0ms;
+  out[3].max_backoff = -5ms;
+  return out;
+}
+
+TEST(SendWithRetry, RejectsAPolicyThatCannotWait) {
+  for (const RetryPolicy& policy : policies_that_cannot_wait()) {
+    EXPECT_THROW(run(2,
+                     [&](Communicator& world) {
+                       if (world.rank() == 0) world.send_with_retry(1, 1, 3, policy);
+                     }),
+                 UsageError)
+        << "multiplier " << policy.backoff_multiplier << ", max_backoff "
+        << policy.max_backoff.count() << "ms";
+  }
+}
+
+TEST(RecvRetry, RejectsAPolicyThatCannotWait) {
+  for (const RetryPolicy& policy : policies_that_cannot_wait()) {
+    EXPECT_THROW(run(1,
+                     [&](Communicator& world) {
+                       (void)world.recv_retry<int>(50ms, 0, 3, nullptr, policy);
+                     }),
+                 UsageError)
+        << "multiplier " << policy.backoff_multiplier << ", max_backoff "
+        << policy.max_backoff.count() << "ms";
+  }
 }
 
 TEST(RecvRetry, RidesOutADelayedMessage) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,26 @@ TEST(OrderedTicket, OrderedLoopIdiom) {
   for (std::int64_t i = 0; i < 16; ++i) {
     EXPECT_EQ(printed[static_cast<std::size_t>(i)], i);
   }
+}
+
+TEST(OrderedTicket, ThrowingTurnStillAdmitsTheNext) {
+  // Turn 0 throws. The ticket must still advance, or turn 1 (and with it
+  // the team's join) waits forever. The test bounds its own wait: if turn
+  // 1 is still stuck after the grace period, it runs turn 0 again to
+  // release it, so a broken ticket fails instead of hanging.
+  OrderedTicket ticket;
+  EXPECT_THROW(ticket.run_in_order(0, [] { throw std::runtime_error("turn 0"); }),
+               std::runtime_error);
+  std::atomic<bool> ran{false};
+  pml::thread::Thread next(1, [&](int) { ticket.run_in_order(1, [&] { ran = true; }); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool admitted = ran.load();
+  if (!admitted) ticket.run_in_order(0, [] {});
+  next.join();
+  EXPECT_TRUE(admitted);
 }
 
 }  // namespace
