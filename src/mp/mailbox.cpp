@@ -179,15 +179,13 @@ void Mailbox::note_match_locked(const Envelope& e, int source, int tag,
     analyze::on_mp_match(e.analyze_id, owner_, e.source, e.tag, e.context,
                          source, wild_sources);
   }
-  // Receiver's lane: match count, deliver-to-match latency (counter and
-  // registry histogram), and the flow edge's recv half — recorded inside the
+  // Receiver's lane: match count, deliver-to-match latency (registry
+  // histogram), and the flow edge's recv half — recorded inside the
   // still-open kRecv span so the trace arrow lands on the receive slice.
   if (obs::active()) {
     obs::count(obs::Counter::kMessagesReceived);
     if (e.send_ns != 0) {
-      const std::uint64_t latency = obs::detail::now_ns() - e.send_ns;
-      obs::count(obs::Counter::kMessageLatencyNs, latency);
-      obs::observe(obs::Metric::kMessageLatency, latency);
+      obs::observe(obs::Metric::kMessageLatency, obs::detail::now_ns() - e.send_ns);
     }
     obs::flow_recv(e.flow, e.source, e.tag, e.body_bytes(), e.rts);
   }

@@ -84,31 +84,28 @@ namespace {
 /// checkpoint write counts as progress: a slow seal parks every rank on
 /// the release barrier, which is delivery-quiescent but very much not a
 /// deadlock. Returns once every rank has finished or the job is poisoned.
-void watch_for_deadlock(detail::RuntimeState& state,
-                        std::vector<pml::thread::HostThread>& ranks,
+void watch_for_deadlock(detail::RuntimeState& state, pml::thread::TaskGroup& ranks,
                         std::chrono::milliseconds grace, ckpt::Store* store) {
   const auto tick = std::chrono::milliseconds(50);
   const long needed_ticks = std::max<long>(1, grace.count() / tick.count());
   long stuck_ticks = 0;
   std::uint64_t last_deliveries = state.deliveries.load();
-  for (auto& rank : ranks) {
-    // wait_for returns true once the rank finishes (no 50ms teardown
-    // penalty for short jobs); false means one tick elapsed — inspect.
-    while (!rank.wait_for(tick)) {
-      const int live = state.nprocs - state.finished.load(std::memory_order_relaxed);
-      const int blocked = state.blocked.load(std::memory_order_relaxed);
-      const std::uint64_t delivered = state.deliveries.load();
-      const bool writing = store != nullptr && store->write_active();
-      if (live > 0 && blocked == live && delivered == last_deliveries && !writing) {
-        if (++stuck_ticks >= needed_ticks) {
-          state.deadlock_detected.store(true);
-          state.poison_all();
-          return;
-        }
-      } else {
-        stuck_ticks = 0;
-        last_deliveries = delivered;
+  // wait_for returns true once every rank has finished (no 50ms teardown
+  // penalty for short jobs); false means one tick elapsed — inspect.
+  while (!ranks.wait_for(tick)) {
+    const int live = state.nprocs - state.finished.load(std::memory_order_relaxed);
+    const int blocked = state.blocked.load(std::memory_order_relaxed);
+    const std::uint64_t delivered = state.deliveries.load();
+    const bool writing = store != nullptr && store->write_active();
+    if (live > 0 && blocked == live && delivered == last_deliveries && !writing) {
+      if (++stuck_ticks >= needed_ticks) {
+        state.deadlock_detected.store(true);
+        state.poison_all();
+        return;
       }
+    } else {
+      stuck_ticks = 0;
+      last_deliveries = delivered;
     }
   }
 }
@@ -256,25 +253,13 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
 
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
     {
-      // Fork/join happens-before edges for the analyzer, keyed on this run's
-      // error vector: launcher state flows into every rank, every rank's
-      // writes flow back to the launcher at join. Distinct fork/join keys for
-      // the same reason as thread::run_all — one key would let an
-      // early-finishing rank's history leak into a late-starting rank.
-      const void* fork_key = reinterpret_cast<const char*>(&errors) + 1;
-      const void* join_key = &errors;
-      analyze::on_sync_release(fork_key);
-      std::vector<pml::thread::HostThread> ranks;
-      ranks.reserve(static_cast<std::size_t>(nprocs));
-      sched::coop_spawned(join_key, static_cast<std::uint32_t>(nprocs),
-                          static_cast<std::uint32_t>(nprocs));
+      pml::thread::TaskGroup ranks(nprocs, nprocs);
       for (int r = 0; r < nprocs; ++r) {
-        ranks.emplace_back([&, r, fork_key, join_key] {
-          // Deterministic perturbation lane per rank, as fork_join does for
-          // team threads — a chaos seed replays the same per-rank schedule.
+        ranks.start(r, [&, r] {
+          // The rank's lane is its world rank, as fork_join's is the team id:
+          // a chaos seed replays the same per-rank schedule, and fault
+          // decisions, crash targeting and the profile's task ids read it.
           sched::bind_lane(static_cast<std::uint32_t>(r));
-          sched::coop_lane_begin(join_key, static_cast<std::uint32_t>(r));
-          analyze::on_sync_acquire(fork_key);
           if (state->ckpt_lane_restore[static_cast<std::size_t>(r)] != 0 &&
               fault::active()) {
             // Resume the fault decision stream where the cut froze it, so a
@@ -308,20 +293,15 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
             state->poison_all();
           }
           state->finished.fetch_add(1, std::memory_order_relaxed);
-          analyze::on_sync_release(join_key);
-          sched::coop_lane_end(join_key);
         });
       }
-      sched::coop_join(join_key);
       // Under cooperative verification the scheduler itself proves
-      // deadlocks (a fruitless sweep over all blocked lanes), and the ranks
-      // have all finished here, so the wall-clock watchdog would only add
-      // false timing.
+      // deadlocks (a fruitless sweep over all blocked lanes), so the
+      // wall-clock watchdog would only add false timing.
       if (options.deadlock_grace.count() > 0 && !sched::coop_active()) {
         watch_for_deadlock(*state, ranks, options.deadlock_grace, store);
       }
-      pml::thread::join_all(ranks);
-      analyze::on_sync_acquire(join_key);
+      ranks.join();
     }
 
     // Join any in-flight cut writer before this attempt's state can go away

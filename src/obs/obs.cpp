@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -9,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/env.hpp"
 #include "sched/sched.hpp"
 
 namespace pml::obs {
@@ -98,9 +98,9 @@ class Collector {
     if (detail::g_active.load(std::memory_order_relaxed) != 0) {
       throw std::logic_error("obs::Scope: a scope is already active");
     }
+    lane_capacity_ = resolve_capacity(ring_spans);  // may throw: before any reset
     lanes_.clear();
     task_node_.clear();
-    lane_capacity_ = resolve_capacity(ring_spans);
     high_water_.store(0, std::memory_order_relaxed);
     // next_flow_ is deliberately NOT reset: ids stay unique across scopes,
     // so an envelope stamped under an earlier scope can never alias a fresh
@@ -234,13 +234,12 @@ class Collector {
 
  private:
   /// Explicit capacity wins, then PML_OBS_RING_SPANS, then the default.
-  /// Clamped to >= 1 so a misconfigured environment cannot disable spans
-  /// silently (a 1-span ring still counts every drop exactly).
+  /// The variable is parsed strictly: "-5", "8kb" or an empty value throws
+  /// a UsageError naming it, and "0" means the default.
   static std::size_t resolve_capacity(std::size_t explicit_spans) {
-    if (explicit_spans != 0) return std::max<std::size_t>(explicit_spans, 1);
-    if (const char* env = std::getenv("PML_OBS_RING_SPANS")) {
-      const unsigned long long n = std::strtoull(env, nullptr, 10);
-      if (n != 0) return static_cast<std::size_t>(n);
+    if (explicit_spans != 0) return explicit_spans;
+    if (const auto n = env::u64("PML_OBS_RING_SPANS"); n && *n != 0) {
+      return static_cast<std::size_t>(*n);
     }
     return kDefaultLaneCapacity;
   }

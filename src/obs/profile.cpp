@@ -29,7 +29,6 @@ const char* to_string(Counter c) noexcept {
     case Counter::kAtomicUpdates: return "atomic-updates";
     case Counter::kMessagesSent: return "msgs-sent";
     case Counter::kMessagesReceived: return "msgs-received";
-    case Counter::kMessageLatencyNs: return "msg-latency-ns";
     case Counter::kFaultDropped: return "fault-dropped";
     case Counter::kFaultDelayed: return "fault-delayed";
     case Counter::kFaultDuplicated: return "fault-duplicated";

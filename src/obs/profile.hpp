@@ -50,7 +50,6 @@ enum class Counter : std::uint8_t {
   kAtomicUpdates,      ///< atomic_update/atomic_add CAS updates.
   kMessagesSent,       ///< Envelopes this task delivered.
   kMessagesReceived,   ///< Envelopes this task matched.
-  kMessageLatencyNs,   ///< Total deliver-to-match latency of matched msgs.
   kFaultDropped,       ///< Messages pml::fault dropped (sender's lane).
   kFaultDelayed,       ///< Messages pml::fault held back (delay/slow node).
   kFaultDuplicated,    ///< Messages pml::fault deposited twice.
@@ -65,7 +64,7 @@ enum class Counter : std::uint8_t {
 };
 
 /// Number of distinct Counter values (array sizing).
-inline constexpr int kCounterKinds = 19;
+inline constexpr int kCounterKinds = 18;
 
 /// Printable name ("chunks", "steals", "combines", ...).
 const char* to_string(Counter c) noexcept;

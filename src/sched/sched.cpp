@@ -41,18 +41,8 @@ std::atomic<std::uint64_t> g_spins{0};
 std::atomic<std::uint64_t> g_sleeps{0};
 std::atomic<std::uint64_t> g_slept_micros{0};
 
-struct LaneState {
-  std::uint64_t epoch = 0;
-  std::uint64_t calls = 0;
-  std::uint32_t lane = 0;
-  bool bound = false;
-};
-
-LaneState& lane_state() {
-  thread_local LaneState tl;
-  return tl;
-}
-
+using detail::LaneState;
+using detail::lane_state;
 using detail::mix64;
 
 /// Per-kind aggressiveness. Shared-data windows get perturbed hardest: a
@@ -107,6 +97,11 @@ Decision decide(std::uint64_t seed, std::uint32_t lane, std::uint64_t call,
 }
 
 namespace detail {
+
+LaneState& lane_state() noexcept {
+  thread_local LaneState tl;
+  return tl;
+}
 
 void perturb(Point kind) noexcept {
   const std::uint64_t seed = g_seed.load(std::memory_order_relaxed);

@@ -146,6 +146,37 @@ int bound_lane() noexcept;
 /// as a new thread starts. Pooled host threads call this at task start.
 void reset_thread() noexcept;
 
+namespace detail {
+/// A thread's lane binding and its schedule position on that lane.
+struct LaneState {
+  std::uint64_t epoch = 0;
+  std::uint64_t calls = 0;
+  std::uint32_t lane = 0;
+  bool bound = false;
+};
+/// The calling thread's LaneState.
+LaneState& lane_state() noexcept;
+}  // namespace detail
+
+/// RAII lane binding: binds the calling thread to \p lane, and on exit
+/// gives it back the binding and schedule position it had before. A thread
+/// that joins a team as one of its members (fork_join_inline's caller,
+/// such as an mp rank opening a parallel region) keeps its own lane after
+/// the team ends.
+class LaneScope {
+ public:
+  explicit LaneScope(std::uint32_t lane) noexcept : saved_(detail::lane_state()) {
+    bind_lane(lane);
+  }
+  ~LaneScope() { detail::lane_state() = saved_; }
+
+  LaneScope(const LaneScope&) = delete;
+  LaneScope& operator=(const LaneScope&) = delete;
+
+ private:
+  detail::LaneState saved_;
+};
+
 /// Counters of perturbations applied since the last configure().
 struct Stats {
   std::uint64_t points = 0;  ///< point() calls that consulted the perturber.

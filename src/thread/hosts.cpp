@@ -1,15 +1,16 @@
 #include "thread/hosts.hpp"
 
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
+#include "sched/coop.hpp"
 #include "sched/sched.hpp"
 
 namespace pml::thread {
@@ -32,6 +33,17 @@ struct Host {
       running = true;
     }
     cv.notify_one();
+  }
+
+  /// Waits up to \p timeout for the task to return; true once it has.
+  bool wait_for(std::chrono::milliseconds timeout) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, timeout, [this] { return !running; });
+  }
+
+  void wait() {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [this] { return !running; });
   }
 
   [[noreturn]] void serve() {
@@ -97,36 +109,61 @@ class Hosts {
   std::vector<Host*> idle_;
 };
 
+/// The analyzer's fork key for \p group; its join key is the group itself.
+/// Distinct keys, because with one a task that finishes before a sibling
+/// starts (the rule, not the exception, on one core) would release its
+/// history into the very key the sibling fork-acquires: a task-to-task
+/// edge no primitive implies, masking every race the serial schedule did
+/// not overlap. One byte past the group is unique per group and, being
+/// odd, disjoint from the analyzer's even real-address sync keys.
+const void* fork_key(const TaskGroup* group) {
+  return reinterpret_cast<const char*>(group) + 1;
+}
+
 }  // namespace
 
-HostThread::HostThread(std::function<void()> task) : host_(Hosts::instance().acquire()) {
-  host_->start(std::move(task));
+TaskGroup::TaskGroup(int ids, int tasks) {
+  hosts_.reserve(static_cast<std::size_t>(tasks));
+  analyze::on_sync_release(fork_key(this));
+  // Every task registers with the verifier before any starts: tasks are
+  // deterministic slots (token base + id), and no scheduling decision is
+  // taken while a registration is pending, which is what makes replay exact.
+  sched::coop_spawned(this, static_cast<std::uint32_t>(ids),
+                      static_cast<std::uint32_t>(tasks));
 }
 
-HostThread& HostThread::operator=(HostThread&& other) noexcept {
-  if (this != &other) {
-    join();
-    host_ = std::exchange(other.host_, nullptr);
+void TaskGroup::start(int id, std::function<void()> fn) {
+  Host* host = Hosts::instance().acquire();
+  hosts_.push_back(host);
+  host->start([this, id, fn = std::move(fn)] {
+    sched::coop_lane_begin(this, static_cast<std::uint32_t>(id));
+    analyze::on_sync_acquire(fork_key(this));
+    try {
+      fn();
+    } catch (const sched::CoopAbort&) {
+      // The verifier tore this execution down; unwind quietly.
+    }
+    analyze::on_sync_release(this);
+    sched::coop_lane_end(this);
+  });
+}
+
+bool TaskGroup::wait_for(std::chrono::milliseconds timeout) {
+  for (; finished_ < hosts_.size(); ++finished_) {
+    if (!hosts_[finished_]->wait_for(timeout)) return false;
   }
-  return *this;
+  return true;
 }
 
-bool HostThread::wait_for(std::chrono::milliseconds timeout) {
-  std::unique_lock lock(host_->mu);
-  return host_->cv.wait_for(lock, timeout, [this] { return !host_->running; });
-}
-
-void HostThread::join() {
-  if (host_ == nullptr) return;
-  {
-    std::unique_lock lock(host_->mu);
-    host_->cv.wait(lock, [this] { return !host_->running; });
+void TaskGroup::join() {
+  sched::coop_join(this);  // cooperative wait; the real waits are instant
+  while (!hosts_.empty()) {
+    Host* host = hosts_.back();
+    hosts_.pop_back();
+    host->wait();
+    Hosts::instance().release(host);
   }
-  Hosts::instance().release(std::exchange(host_, nullptr));
-}
-
-void join_all(std::vector<HostThread>& group) {
-  while (!group.empty()) group.pop_back();
+  analyze::on_sync_acquire(this);
 }
 
 }  // namespace pml::thread

@@ -5,7 +5,6 @@
 
 #include "analyze/analyze.hpp"
 #include "obs/obs.hpp"
-#include "sched/coop.hpp"
 #include "thread/adaptive_wait.hpp"
 
 namespace pml::thread {
@@ -13,11 +12,9 @@ namespace pml::thread {
 Pool::Pool(int workers) {
   if (workers <= 0) throw UsageError("Pool: worker count must be positive");
   executed_.assign(static_cast<std::size_t>(workers), 0);
-  threads_.reserve(static_cast<std::size_t>(workers));
-  sched::coop_spawned(this, static_cast<std::uint32_t>(workers),
-                      static_cast<std::uint32_t>(workers));
+  group_.emplace(workers, workers);
   for (int id = 0; id < workers; ++id) {
-    threads_.emplace_back([this, id] { worker_loop(id); });
+    group_->start(id, [this, id] { worker_body(id); });
   }
 }
 
@@ -63,23 +60,12 @@ void Pool::shutdown() {
     stopping_ = true;
   }
   notify_all(work_ready_, &work_ready_);
-  sched::coop_join(this);
-  join_all(threads_);
+  group_->join();
 }
 
 std::vector<long> Pool::tasks_per_worker() const {
   std::lock_guard lock(mu_);
   return executed_;
-}
-
-void Pool::worker_loop(int id) {
-  sched::coop_lane_begin(this, static_cast<std::uint32_t>(id));
-  try {
-    worker_body(id);
-  } catch (const sched::CoopAbort&) {
-    // Verification run aborted mid-wait; unwind quietly.
-  }
-  sched::coop_lane_end(this);
 }
 
 void Pool::worker_body(int id) {

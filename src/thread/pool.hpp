@@ -13,6 +13,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/error.hpp"
@@ -45,13 +46,12 @@ class Pool {
   void shutdown();
 
   /// Number of worker threads.
-  int workers() const noexcept { return static_cast<int>(threads_.size()); }
+  int workers() const noexcept { return static_cast<int>(executed_.size()); }
 
   /// Tasks executed per worker so far (index = worker id).
   std::vector<long> tasks_per_worker() const;
 
  private:
-  void worker_loop(int id);
   void worker_body(int id);
 
   mutable std::mutex mu_;
@@ -62,7 +62,7 @@ class Pool {
   std::exception_ptr first_error_;  ///< First exception thrown by a task.
   int active_ = 0;
   bool stopping_ = false;
-  std::vector<HostThread> threads_;
+  std::optional<TaskGroup> group_;  ///< The workers, once validated.
 };
 
 }  // namespace pml::thread

@@ -7,7 +7,6 @@
 
 #include "analyze/analyze.hpp"
 #include "obs/obs.hpp"
-#include "sched/coop.hpp"
 #include "sched/sched.hpp"
 #include "thread/adaptive_wait.hpp"
 
@@ -34,11 +33,9 @@ StealingPool::StealingPool(int workers) {
   for (int i = 0; i < workers; ++i) deques_.push_back(std::make_unique<WorkDeque>());
   executed_.assign(static_cast<std::size_t>(workers), 0);
   steals_.assign(static_cast<std::size_t>(workers), 0);
-  threads_.reserve(static_cast<std::size_t>(workers));
-  sched::coop_spawned(this, static_cast<std::uint32_t>(workers),
-                      static_cast<std::uint32_t>(workers));
+  group_.emplace(workers, workers);
   for (int id = 0; id < workers; ++id) {
-    threads_.emplace_back([this, id] { worker_loop(id); });
+    group_->start(id, [this, id] { worker_loop(id); });
   }
 }
 
@@ -98,17 +95,13 @@ std::optional<StealingPool::Task> StealingPool::find_work(int id) {
 }
 
 void StealingPool::worker_loop(int id) {
-  sched::coop_lane_begin(this, static_cast<std::uint32_t>(id));
   identity() = WorkerIdentity{this, id};
-  try {
-    worker_body(id);
-  } catch (const sched::CoopAbort&) {
-    // Verification run aborted mid-wait; unwind quietly.
-  }
-  // The host outlives this pool: a later pool at the same address must not
-  // mistake it for one of its workers.
-  identity() = WorkerIdentity{};
-  sched::coop_lane_end(this);
+  // Cleared however the body ends: the host outlives this pool, and a later
+  // pool at the same address must not mistake it for one of its workers.
+  struct Clear {
+    ~Clear() { identity() = WorkerIdentity{}; }
+  } clear;
+  worker_body(id);
 }
 
 void StealingPool::worker_body(int id) {
@@ -182,8 +175,7 @@ void StealingPool::shutdown() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   notify_all(work_cv_, &work_cv_);
-  sched::coop_join(this);
-  join_all(threads_);  // workers drain remaining work before exiting
+  group_->join();  // workers drain remaining work before exiting
 }
 
 std::vector<long> StealingPool::executed_per_worker() const {

@@ -94,7 +94,7 @@ class StealingPool {
   /// Stops accepting work, drains, joins. Idempotent; destructor calls it.
   void shutdown();
 
-  int workers() const noexcept { return static_cast<int>(threads_.size()); }
+  int workers() const noexcept { return static_cast<int>(deques_.size()); }
 
   /// Tasks executed per worker (index = worker id).
   std::vector<long> executed_per_worker() const;
@@ -128,7 +128,7 @@ class StealingPool {
   std::atomic<std::uint64_t> work_epoch_{0};
   /// Workers currently napping on work_cv_ (for the busy-worker handoff).
   std::atomic<int> nappers_{0};
-  std::vector<HostThread> threads_;
+  std::optional<TaskGroup> group_;  ///< The workers, once validated.
 };
 
 }  // namespace pml::thread

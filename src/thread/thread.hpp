@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "core/error.hpp"
-#include "sched/coop.hpp"
 #include "thread/hosts.hpp"
 
 namespace pml::thread {
@@ -25,66 +24,41 @@ namespace pml::thread {
 /// joins it rather than terminating the program: in teaching code, "forgot
 /// to join" should behave like fork-join, not call std::terminate. A body
 /// that throws still ends the program, as an uncaught exception on any
-/// thread does.
+/// thread does. Creation and join are happens-before edges, as
+/// pthread_create and pthread_join are.
 class Thread {
  public:
   Thread() = default;
 
-  /// Starts a worker running fn(id). Under cooperative verification the
-  /// worker registers as a scheduler lane; the registration token is a
-  /// heap cookie (not `this`) so it survives moves of the Thread object.
-  Thread(int id, std::function<void(int)> fn) : id_(id) {
-    if (sched::coop_active()) {
-      coop_token_ = std::make_unique<char>('\0');
-      sched::coop_spawned(coop_token_.get(), 1, 1);
-      impl_ = HostThread([fn = std::move(fn), id, tok = coop_token_.get()] {
-        sched::coop_lane_begin(tok, 0);
-        try {
-          fn(id);
-        } catch (const sched::CoopAbort&) {
-          // Execution aborted by the verifier; unwind quietly.
-        }
-        sched::coop_lane_end(tok);
-      });
-    } else {
-      impl_ = HostThread([fn = std::move(fn), id] { fn(id); });
-    }
+  /// Starts a worker running fn(id) as a group of one. The group lives on
+  /// the heap: its address is the worker's verifier token and analyzer
+  /// keys, which must survive moves of the Thread object.
+  Thread(int id, std::function<void(int)> fn)
+      : id_(id), group_(std::make_unique<TaskGroup>(1, 1)) {
+    group_->start(0, [fn = std::move(fn), id] { fn(id); });
   }
 
   Thread(Thread&&) noexcept = default;
-  Thread& operator=(Thread&& other) noexcept {
-    if (this != &other) {
-      join();
-      id_ = other.id_;
-      coop_token_ = std::move(other.coop_token_);
-      impl_ = std::move(other.impl_);
-    }
-    return *this;
-  }
+  /// Joins the current worker first, as std::jthread does.
+  Thread& operator=(Thread&&) noexcept = default;
 
   Thread(const Thread&) = delete;
   Thread& operator=(const Thread&) = delete;
-
-  ~Thread() { join(); }
 
   /// The id this thread was created with (-1 if default-constructed).
   int id() const noexcept { return id_; }
 
   /// True if the thread is running and not yet joined.
-  bool joinable() const noexcept { return impl_.joinable(); }
+  bool joinable() const noexcept { return group_ != nullptr; }
 
   /// Blocks until the worker finishes. Idempotent. Under cooperative
   /// verification the wait itself is a scheduling decision; the real join
   /// afterwards is instantaneous.
-  void join() {
-    if (coop_token_) sched::coop_join(coop_token_.get());
-    if (impl_.joinable()) impl_.join();
-  }
+  void join() { group_.reset(); }
 
  private:
   int id_ = -1;
-  std::unique_ptr<char> coop_token_;
-  HostThread impl_;
+  std::unique_ptr<TaskGroup> group_;  ///< Its destructor joins.
 };
 
 /// Creates \p n workers running fn(0) .. fn(n-1), fork-join style.

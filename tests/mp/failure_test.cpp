@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/runner.hpp"
 #include "mp/mp.hpp"
+#include "patternlets/patternlets.hpp"
 
 namespace pml::mp {
 namespace {
@@ -91,6 +93,18 @@ TEST(Crash, SsendAfterPeerDiedReportsTheRootCause) {
                      comm.ssend(1, 1);
                    }),
                UsageError);
+}
+
+TEST(Crash, HybridRankDiesWithItsNode) {
+  // hetero/reduction opens a parallel region inside each rank before it
+  // reaches a fault checkpoint; the crash must still find the rank that
+  // node-02 hosts.
+  pml::patternlets::ensure_registered();
+  RunSpec spec;
+  spec.fault_spec = "crash:node-02@0";
+  const RunResult result = pml::run("hetero/reduction", spec);
+  ASSERT_TRUE(result.fault_stats.has_value());
+  EXPECT_GE(result.fault_stats->crashed, 1u);
 }
 
 TEST(Validation, CollectiveArgumentsChecked) {

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "core/error.hpp"
 #include "core/runner.hpp"
 #include "obs/profile.hpp"
 #include "patternlets/patternlets.hpp"
@@ -84,7 +86,7 @@ TEST(ObsScope, MergesSpansFromJoinedThreads) {
     count(Counter::kTasksRun);
   });
   const Profile p = scope.finish();
-  // One region span per team thread (from run_all) + one explicit task span.
+  // One region span per team thread (from fork_join) + one explicit task span.
   ASSERT_EQ(p.tasks.size(), 4u);
   for (int id = 0; id < 4; ++id) {
     const TaskMetrics& m = p.tasks.at(id);
@@ -209,6 +211,38 @@ TEST(ObsRing, EnvironmentVariableSetsTheDefaultCapacity) {
     }
     const Profile p = scope.finish();
     EXPECT_EQ(p.spans.size(), 9u);
+    EXPECT_EQ(p.spans_dropped, 0u);
+  }
+  ::unsetenv("PML_OBS_RING_SPANS");
+}
+
+TEST(ObsRing, MalformedEnvironmentValueThrowsNamingTheVariable) {
+  for (const char* bad : {"-5", "8kb", "abc", "", " 3", "0x10", "99999999999999999999"}) {
+    SCOPED_TRACE(std::string("PML_OBS_RING_SPANS=\"") + bad + "\"");
+    ::setenv("PML_OBS_RING_SPANS", bad, 1);
+    try {
+      Scope scope;
+      ADD_FAILURE() << "accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("PML_OBS_RING_SPANS"), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("PML_OBS_RING_SPANS");
+  Scope scope;  // a rejected value leaves no scope half-begun
+  { SpanScope s{SpanKind::kChunk, "chunk", 0}; }
+  EXPECT_EQ(scope.finish().spans.size(), 1u);
+}
+
+TEST(ObsRing, UnsetOrZeroEnvironmentKeepsTheDefaultCapacity) {
+  for (const char* value : {static_cast<const char*>(nullptr), "0"}) {
+    if (value != nullptr) ::setenv("PML_OBS_RING_SPANS", value, 1);
+    Scope scope;
+    for (int i = 0; i < 100; ++i) {
+      SpanScope s{SpanKind::kChunk, "chunk", i};
+    }
+    const Profile p = scope.finish();
+    EXPECT_EQ(p.spans.size(), 100u) << (value != nullptr ? value : "unset");
     EXPECT_EQ(p.spans_dropped, 0u);
   }
   ::unsetenv("PML_OBS_RING_SPANS");

@@ -1,8 +1,9 @@
 /// \file hosts_test.cpp
 /// \brief The host-thread rules: back-to-back jobs reuse the same kernel
 /// threads (task i on the thread that ran task i before), a host stays
-/// with its task until joined, and a task starts with fresh per-thread
-/// tooling state.
+/// with its group until joined, a task starts with fresh per-thread
+/// tooling state, and a thread that joins a team as its member 0 gets its
+/// own lane back afterwards.
 
 #include "thread/hosts.hpp"
 
@@ -10,6 +11,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -19,6 +21,7 @@
 
 #include "analyze/analyze.hpp"
 #include "mp/mp.hpp"
+#include "obs/obs.hpp"
 #include "sched/sched.hpp"
 #include "smp/team.hpp"
 #include "thread/thread.hpp"
@@ -104,10 +107,12 @@ TEST(Hosts, TaskStartsWithoutThePreviousTasksLane) {
   fork_join(1, [&](int) { worker_tid = kernel_tid(); });
   std::atomic<long> task_tid{0};
   std::atomic<int> lane{0};
-  HostThread([&] {
+  TaskGroup group(1, 1);
+  group.start(0, [&] {
     task_tid = kernel_tid();
     lane = sched::bound_lane();
-  }).join();
+  });
+  group.join();
   EXPECT_EQ(task_tid.load(), worker_tid.load());
   EXPECT_EQ(lane.load(), -1);
 }
@@ -123,16 +128,54 @@ TEST(Hosts, EachTaskRegistersWithTheAnalyzerAsANewThread) {
 
 TEST(Hosts, WaitForReportsCompletionWithoutReleasingTheHost) {
   std::atomic<bool> go{false};
-  HostThread task([&] {
+  std::atomic<long> first_tid{0};
+  TaskGroup group(1, 1);
+  group.start(0, [&] {
+    first_tid = kernel_tid();
     while (!go.load()) std::this_thread::yield();
   });
-  EXPECT_FALSE(task.wait_for(std::chrono::milliseconds(1)));
+  EXPECT_FALSE(group.wait_for(std::chrono::milliseconds(1)));
   go = true;
-  while (!task.wait_for(std::chrono::milliseconds(50))) {
+  while (!group.wait_for(std::chrono::milliseconds(50))) {
   }
-  EXPECT_TRUE(task.joinable());
-  task.join();
-  EXPECT_FALSE(task.joinable());
+  EXPECT_TRUE(group.wait_for(std::chrono::milliseconds(0)));
+  // Finished but not joined: the host is still the group's, so a task
+  // started now runs on another thread.
+  std::atomic<long> second_tid{0};
+  TaskGroup second(1, 1);
+  second.start(0, [&] { second_tid = kernel_tid(); });
+  second.join();
+  group.join();
+  EXPECT_NE(first_tid.load(), second_tid.load());
+}
+
+TEST(Hosts, RankKeepsItsLaneAfterANestedRegion) {
+  // The rank is the parallel region's member 0 while the region runs;
+  // afterwards it must be its own rank again, for the chaos, fault and
+  // profile layers that key on the lane.
+  std::array<std::atomic<int>, 4> lanes{};
+  mp::run(4, [&](mp::Communicator& world) {
+    smp::parallel(2, [](smp::Region&) {});
+    lanes[static_cast<std::size_t>(world.rank())] = sched::bound_lane();
+  });
+  for (int r = 0; r < 4; ++r) EXPECT_EQ(lanes[static_cast<std::size_t>(r)].load(), r);
+}
+
+TEST(Hosts, RankSendsAfterANestedRegionCountUnderTheRank) {
+  obs::Scope scope;
+  mp::run(4, [](mp::Communicator& world) {
+    smp::parallel(2, [](smp::Region&) {});
+    if (world.rank() == 0) {
+      for (int i = 1; i < world.size(); ++i) (void)world.recv<int>(mp::kAnySource, 0);
+    } else {
+      world.send(world.rank(), 0, 0);
+    }
+  });
+  const obs::Profile profile = scope.finish();
+  for (int r = 1; r < 4; ++r) {
+    ASSERT_EQ(profile.tasks.count(r), 1u) << "task " << r;
+    EXPECT_EQ(profile.tasks.at(r).value(obs::Counter::kMessagesSent), 1u) << "task " << r;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <thread>
 
+#include "analyze/analyze.hpp"
 #include "core/error.hpp"
 
 namespace pml::thread {
@@ -133,6 +134,22 @@ TEST(Pool, SlowTasksSpreadAcrossWorkers) {
   }
   // 16 tasks of 5ms each on 4 workers: more than one worker must have run.
   EXPECT_GE(busy_workers, 2);
+}
+
+TEST(Pool, ShutdownOrdersTaskWritesBeforeTheMaster) {
+  // shutdown() joins the workers, so a read after it needs no wait_idle().
+  analyze::Scope scope;
+  long x = 0;
+  Pool pool(2);
+  pool.submit([&](int) {
+    analyze::on_write(&x, "x");
+    x = 1;
+  });
+  pool.shutdown();
+  analyze::on_read(&x, "x");
+  EXPECT_EQ(x, 1);
+  const analyze::Report report = scope.finish();
+  EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
 }  // namespace

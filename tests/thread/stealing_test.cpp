@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "analyze/analyze.hpp"
 #include "core/error.hpp"
 
 namespace pml::thread {
@@ -141,6 +142,22 @@ TEST(StealingPool, RecursiveFibonacci) {
   pool.submit([&] { fib(12); });
   pool.wait_idle();
   EXPECT_EQ(total.load(), fib_seq(12));
+}
+
+TEST(StealingPool, ShutdownOrdersTaskWritesBeforeTheMaster) {
+  // shutdown() joins the workers, so a read after it needs no wait_idle().
+  analyze::Scope scope;
+  long x = 0;
+  StealingPool pool(2);
+  pool.submit([&] {
+    analyze::on_write(&x, "x");
+    x = 1;
+  });
+  pool.shutdown();
+  analyze::on_read(&x, "x");
+  EXPECT_EQ(x, 1);
+  const analyze::Report report = scope.finish();
+  EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
 }  // namespace

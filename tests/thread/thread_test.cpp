@@ -8,6 +8,7 @@
 #include <atomic>
 #include <set>
 
+#include "analyze/analyze.hpp"
 #include "core/error.hpp"
 #include "thread/mutex.hpp"
 
@@ -47,6 +48,24 @@ TEST(Thread, MoveTransfersOwnership) {
   EXPECT_EQ(b.id(), 1);
   b.join();
   EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(Thread, CreateAndJoinOrderTheWorkerBetweenItsCreatorsAccesses) {
+  // pthreads/forkJoin's lesson: a write before pthread_create and a read
+  // after pthread_join are ordered with everything the worker does.
+  analyze::Scope scope;
+  long x = 0;
+  analyze::on_write(&x, "x");
+  x = 1;
+  Thread t(0, [&](int) {
+    analyze::on_write(&x, "x");
+    x = 2;
+  });
+  t.join();
+  analyze::on_read(&x, "x");
+  EXPECT_EQ(x, 2);
+  const analyze::Report report = scope.finish();
+  EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
 TEST(ForkJoin, EveryIdRunsExactlyOnce) {
