@@ -11,6 +11,7 @@
 /// gates on the mailbox ping-pong medians in that file.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
@@ -82,6 +83,42 @@ void BM_PingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rounds * 2);
 }
 BENCHMARK(BM_PingPong)->Arg(64)->Arg(512);
+
+long voluntary_switches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
+
+void BM_HaloExchange(benchmark::State& state) {
+  // The halo stencil's communication without its arithmetic: 4 ranks on a
+  // line, each step sends one double to each neighbour and receives one
+  // from each. nvcsw_per_rank_step counts the process's voluntary context
+  // switches (getrusage ru_nvcsw) per rank-step: every futex sleep, on a
+  // contended mailbox lock or a parked receive, is one.
+  constexpr int kRanks = 4;
+  const int steps = static_cast<int>(state.range(0));
+  long switches = 0;
+  for (auto _ : state) {
+    const long before = voluntary_switches();
+    mp::run(kRanks, [&](mp::Communicator& comm) {
+      const int r = comm.rank();
+      double ghost = r;
+      for (int s = 0; s < steps; ++s) {
+        if (r + 1 < kRanks) comm.send(ghost, r + 1);
+        if (r > 0) comm.send(ghost, r - 1);
+        if (r > 0) ghost = comm.recv<double>(r - 1);
+        if (r + 1 < kRanks) ghost += comm.recv<double>(r + 1);
+      }
+      benchmark::DoNotOptimize(ghost);
+    });
+    switches += voluntary_switches() - before;
+  }
+  const double rank_steps = static_cast<double>(state.iterations()) * steps * kRanks;
+  state.SetItemsProcessed(state.iterations() * steps);
+  state.counters["nvcsw_per_rank_step"] = static_cast<double>(switches) / rank_steps;
+}
+BENCHMARK(BM_HaloExchange)->Arg(2000);
 
 // Message-size sweep, 64 B → 16 MB. range(0) is the body size in BYTES (the
 // old bench's range was a round count over a fixed 4 KiB body — and its one
@@ -336,7 +373,7 @@ void BM_DisseminationBarrier(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * reps);
 }
-BENCHMARK(BM_DisseminationBarrier)->Arg(2)->Arg(8);
+BENCHMARK(BM_DisseminationBarrier)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_CentralBarrier(benchmark::State& state) {
   // The shared-memory central (sense-reversing) barrier for contrast.

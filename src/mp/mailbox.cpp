@@ -73,7 +73,8 @@ void Mailbox::deposit(Envelope e, bool counted) {
   const int from = e.source;
   const std::size_t bytes = trace_ != nullptr ? e.body_bytes() : 0;
   {
-    std::lock_guard lock(mu_);
+    thread::lock_briefly(mu_);
+    std::lock_guard lock(mu_, std::adopt_lock);
     e.seq = arrival_seq_++;
     // A matching posted receive is waiting iff no buffered message could
     // have satisfied it (checked when it posted, under this same lock), so
@@ -225,7 +226,8 @@ bool Mailbox::receive_into(int context, int source, int tag,
   // posted entry, and no analyze timeout event. recv_retry leans on this
   // for its first zero-cost slice.
   if (timeout && timeout->count() <= 0) {
-    std::lock_guard lock(mu_);
+    thread::lock_briefly(mu_);
+    std::lock_guard lock(mu_, std::adopt_lock);
     return extract_locked(context, source, tag, out);
   }
   if (fault::active()) fault::on_receive_checkpoint();
@@ -235,7 +237,8 @@ bool Mailbox::receive_into(int context, int source, int tag,
   // Declared before `lock` so the span closes after the lock is released.
   obs::SpanScope wait{obs::SpanKind::kRecv, timeout ? "receive-for" : "receive", source,
                       tag};
-  std::unique_lock lock(mu_);
+  thread::lock_briefly(mu_);
+  std::unique_lock lock(mu_, std::adopt_lock);
   if (extract_locked(context, source, tag, out)) return true;
   if (poisoned_) throw_shut_down();
   if (sched::coop_active()) {
@@ -285,7 +288,7 @@ bool Mailbox::receive_into(int context, int source, int tag,
     // Lock handshake: the waker flips state and notifies while holding mu_,
     // so re-acquiring it here guarantees the waker is done with `pr` before
     // we read the envelope or unwind the stack frame that owns it.
-    lock.lock();
+    thread::lock_briefly(lock);
   }
   if (pr.state.load(std::memory_order_acquire) == kPoisoned) throw_shut_down();
   note_match_locked(pr.env, source, tag, context);

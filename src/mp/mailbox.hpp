@@ -198,6 +198,8 @@ class Mailbox {
   void report_timeout(std::unique_lock<std::mutex>& lock, int context, int source,
                       int tag);
 
+  /// Held only for matching and filing, never across user code or a wait,
+  /// so deposit and receive_into take it through thread::lock_briefly.
   mutable std::mutex mu_;
   /// Unexpected-message buckets. Buckets are *never erased* once created —
   /// drained ones stay empty so repeat traffic on the same key reuses them

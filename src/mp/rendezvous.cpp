@@ -2,10 +2,13 @@
 
 #include <utility>
 
+#include "thread/adaptive_wait.hpp"
+
 namespace pml::mp {
 
 std::uint64_t RendezvousTable::park(Parked body) {
-  std::lock_guard lock(mu_);
+  thread::lock_briefly(mu_);
+  std::lock_guard lock(mu_, std::adopt_lock);
   const std::uint64_t ticket = next_ticket_++;
   parked_.emplace(ticket, std::move(body));
   return ticket;
@@ -13,7 +16,8 @@ std::uint64_t RendezvousTable::park(Parked body) {
 
 std::optional<RendezvousTable::Parked> RendezvousTable::claim(
     std::uint64_t ticket) {
-  std::lock_guard lock(mu_);
+  thread::lock_briefly(mu_);
+  std::lock_guard lock(mu_, std::adopt_lock);
   auto it = parked_.find(ticket);
   if (it == parked_.end()) return std::nullopt;
   Parked body = std::move(it->second);

@@ -96,6 +96,9 @@ class RendezvousTable {
   void restore(std::uint64_t ticket, Parked body);
 
  private:
+  /// Held for one hash-map insert or erase; park and claim, which senders
+  /// and receivers race on every large message, take it through
+  /// thread::lock_briefly.
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Parked> parked_;
   std::uint64_t next_ticket_ = 1;

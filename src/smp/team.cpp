@@ -22,8 +22,12 @@ int hardware_default() {
   return hc >= 2 ? static_cast<int>(hc) : 2;
 }
 
-/// Global named-critical lock table (criticals are global in OpenMP).
+/// The lock of a critical section, global across teams as in OpenMP. The
+/// unnamed critical has one lock of its own, as in libgomp, so entering it
+/// takes no table lock and no name lookup; named ones share a table.
 std::mutex& critical_mutex(const std::string& name) {
+  static std::mutex unnamed;
+  if (name.empty()) return unnamed;
   static std::mutex table_mu;
   static std::map<std::string, std::unique_ptr<std::mutex>> table;
   std::lock_guard lock(table_mu);

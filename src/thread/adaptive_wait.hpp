@@ -2,8 +2,9 @@
 
 /// \file adaptive_wait.hpp
 /// \brief Shared waits for the blocking substrates: the spin-then-park
-/// waiter for atomic words, and the verifier-aware condvar waits and wakes
-/// every lock, event and pool in pml::thread and pml::smp blocks through.
+/// waiter for atomic words, the brief-spin acquisition of the runtime's own
+/// short-held locks, and the verifier-aware condvar waits and wakes every
+/// lock, event and pool in pml::thread and pml::smp blocks through.
 ///
 /// Every blocking wait on an atomic word (mailbox receive, thread::Barrier,
 /// and through it the smp team barrier) faces the same trade-off: a futex
@@ -179,6 +180,31 @@ void lock_on(Lockable& mu, const void* key) {
   } else {
     mu.lock();
   }
+}
+
+/// Acquires \p mu, a lock that only the runtime's own short sections hold
+/// (the mailbox's matching and the rendezvous table's park and claim, never
+/// user code): try_lock, then up to 64 retries with a pause between them,
+/// then a plain mu.lock(). Those holders release within about 100 ns, so a
+/// collision resolves while spinning instead of putting the loser through
+/// a futex sleep and wake. It spins only where spin_bound() does and never
+/// under a sink, where the holder cannot run until this lane blocks. Locks
+/// that user code holds (Mutex, critical) take lock_on instead: spinning
+/// on them only burns the core the holder needs.
+template <typename Lockable>
+void lock_briefly(Lockable& mu) {
+  // A retry (a pause and a failed try_lock) costs about 23 ns on a 4-vCPU
+  // Xeon VM, so the spin lasts about 1.5 µs: many times a runtime section,
+  // and shorter than the futex sleep and wake it avoids.
+  constexpr int kTries = 64;
+  if (mu.try_lock()) return;
+  if (spin_bound() > 0 && !sched::coop_active()) {
+    for (int i = 0; i < kTries; ++i) {
+      cpu_relax();
+      if (mu.try_lock()) return;
+    }
+  }
+  mu.lock();
 }
 
 /// wait_on for a lock taken with lock_on: under a sink the lock is dropped

@@ -13,7 +13,9 @@
 #include <thread>
 
 #include "core/error.hpp"
+#include "thread/adaptive_wait.hpp"
 #include "thread/mutex.hpp"
+#include "thread/thread.hpp"
 
 namespace pml::smp {
 namespace {
@@ -96,6 +98,25 @@ TEST(RegionCritical, NamedSectionsAreIndependentLocks) {
   });
   EXPECT_EQ(a, 40000);
   EXPECT_EQ(b, 40000);
+}
+
+TEST(RegionCritical, UnnamedSectionIsGlobalAcrossTeams) {
+  // Two teams run at once; the unnamed critical is one lock for the whole
+  // process, so no read-pause-write below loses an update to the other team.
+  constexpr long kPerThread = 5000;
+  long counter = 0;
+  pml::thread::fork_join(2, [&](int) {
+    parallel(2, [&](Region& r) {
+      for (long i = 0; i < kPerThread; ++i) {
+        r.critical([&] {
+          const long seen = counter;
+          pml::thread::cpu_relax();
+          counter = seen + 1;
+        });
+      }
+    });
+  });
+  EXPECT_EQ(counter, 2 * 2 * kPerThread);
 }
 
 TEST(RegionSingle, ExactlyOneExecutorPerConstruct) {
