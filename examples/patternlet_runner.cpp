@@ -54,13 +54,16 @@
 /// log-bucketed latency/wait/duration histograms with p50/p90/p99, per task
 /// and cluster-wide — as JSON ('-' for stdout, same suppression rule).
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "core/env.hpp"
 #include "core/runner.hpp"
@@ -204,6 +207,39 @@ int help() {
   std::exit(2);
 }
 
+/// Strict parse of a count or seed given as \p name (a flag or an
+/// environment variable): a decimal digit string in [lo, hi], else exit 2
+/// naming \p name.
+std::uint64_t parse_count(const std::string& name, const std::string& text,
+                          std::uint64_t lo = 0,
+                          std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t n = 0;
+  try {
+    n = pml::env::parse_u64(name, text);
+  } catch (const pml::UsageError& e) {
+    usage_error(e.what());
+  }
+  if (n < lo || n > hi) {
+    usage_error(name + " must be between " + std::to_string(lo) + " and " +
+                std::to_string(hi) + ", got " + text);
+  }
+  return n;
+}
+
+/// Strict parse of a signed -p value: the whole text is one decimal long.
+long parse_param(const std::string& kv, std::size_t eq) {
+  long value = 0;
+  const char* first = kv.data() + eq + 1;
+  const char* last = kv.data() + kv.size();
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (first == last || ec != std::errc() || end != last) {
+    usage_error("-p " + kv + ": expected key=<decimal integer>");
+  }
+  return value;
+}
+
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,7 +262,7 @@ int main(int argc, char** argv) {
   // classroom sessions (or CI sweeps) can run perturbed without editing
   // every command line; --chaos-seed overrides it.
   if (const char* env = std::getenv("PML_CHAOS")) {
-    spec.chaos_seed = std::strtoull(env, nullptr, 10);
+    spec.chaos_seed = parse_count("PML_CHAOS", env);
   }
   // PML_FAULT likewise supplies a default fault spec (CI fault sweeps);
   // --fault overrides it.
@@ -236,16 +272,9 @@ int main(int argc, char** argv) {
   // PML_CKPT enables checkpoint/restart (CI crash+restart sweeps); its
   // value is the commit interval ("1" = commit every checkpoint call).
   if (const char* env = std::getenv("PML_CKPT")) {
-    try {
-      const std::uint64_t n = pml::env::parse_u64("PML_CKPT", env);
-      if (n == 0 || n > 0xffffffffULL) {
-        usage_error("PML_CKPT must be a positive 32-bit commit interval");
-      }
-      spec.ckpt = true;
-      spec.ckpt_interval = static_cast<std::uint32_t>(n);
-    } catch (const pml::UsageError& e) {
-      usage_error(e.what());
-    }
+    spec.ckpt = true;
+    spec.ckpt_interval =
+        static_cast<std::uint32_t>(parse_count("PML_CKPT", env, 1, 0xffffffffULL));
   }
 
   for (int i = 1; i < argc; ++i) {
@@ -280,11 +309,10 @@ int main(int argc, char** argv) {
       metrics_json_path = next("--metrics-json");
       spec.profile = true;
     } else if (arg == "--obs-ring-spans") {
-      const long n = std::atol(next("--obs-ring-spans").c_str());
-      if (n <= 0) usage_error("--obs-ring-spans must be positive");
-      spec.obs_ring_spans = static_cast<std::size_t>(n);
+      spec.obs_ring_spans =
+          static_cast<std::size_t>(parse_count(arg, next("--obs-ring-spans"), 1));
     } else if (arg == "-t" || arg == "--tasks") {
-      spec.tasks = std::atoi(next("-t").c_str());
+      spec.tasks = static_cast<int>(parse_count(arg, next("-t"), 1, kIntMax));
     } else if (arg == "--on") {
       spec.toggle_overrides.emplace_back(next("--on"), true);
     } else if (arg == "--off") {
@@ -302,16 +330,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--ckpt") {
       spec.ckpt = true;
     } else if (arg == "--ckpt-interval") {
-      const std::string text = next("--ckpt-interval");
-      try {
-        const std::uint64_t n = pml::env::parse_u64("--ckpt-interval", text);
-        if (n == 0 || n > 0xffffffffULL) {
-          usage_error("--ckpt-interval must be a positive 32-bit count");
-        }
-        spec.ckpt_interval = static_cast<std::uint32_t>(n);
-      } catch (const pml::UsageError& e) {
-        usage_error(e.what());
-      }
+      spec.ckpt_interval = static_cast<std::uint32_t>(
+          parse_count(arg, next("--ckpt-interval"), 1, 0xffffffffULL));
       spec.ckpt = true;
     } else if (arg == "--ckpt-file") {
       spec.ckpt_file = next("--ckpt-file");
@@ -321,12 +341,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--verify") {
       spec.verify = true;
     } else if (arg == "--verify-bound") {
-      spec.verify_bound = std::atoi(next("--verify-bound").c_str());
-      if (spec.verify_bound < 0) usage_error("--verify-bound must be >= 0");
+      spec.verify_bound =
+          static_cast<int>(parse_count(arg, next("--verify-bound"), 0, kIntMax));
     } else if (arg == "--verify-budget") {
-      const long n = std::atol(next("--verify-budget").c_str());
-      if (n <= 0) usage_error("--verify-budget must be positive");
-      spec.verify_budget = static_cast<std::uint64_t>(n);
+      spec.verify_budget = parse_count(arg, next("--verify-budget"), 1);
     } else if (arg == "--verify-mode") {
       spec.verify_mode = next("--verify-mode");
     } else if (arg == "--verify-out") {
@@ -334,17 +352,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay") {
       replay_path = next("--replay");
     } else if (arg == "--chaos-seed") {
-      const std::string text = next("--chaos-seed");
-      char* end = nullptr;
-      spec.chaos_seed = std::strtoull(text.c_str(), &end, 10);
-      if (text.empty() || end == nullptr || *end != '\0') {
-        usage_error("--chaos-seed expects a number, got '" + text + "'");
-      }
+      spec.chaos_seed = parse_count(arg, next("--chaos-seed"));
     } else if (arg == "-p" || arg == "--param") {
       const std::string kv = next("-p");
       const auto eq = kv.find('=');
       if (eq == std::string::npos) usage_error("-p expects key=value");
-      spec.params[kv.substr(0, eq)] = std::atol(kv.substr(eq + 1).c_str());
+      spec.params[kv.substr(0, eq)] = parse_param(kv, eq);
     } else if (!arg.empty() && arg[0] != '-') {
       slug = arg;
     } else {

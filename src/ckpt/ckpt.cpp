@@ -22,10 +22,7 @@ Store::Store(Options opts) : opts_(std::move(opts)) {
   }
 }
 
-Store::~Store() { quiesce(); }
-
 void Store::begin_job() {
-  quiesce();
   std::lock_guard<std::mutex> lock(mu_);
   staged_.clear();
   committed_.reset();
@@ -53,50 +50,25 @@ void Store::stage(std::uint64_t seq, const std::string& key, int rank,
   staged_[seq][rank] = std::move(rs);
 }
 
-std::shared_ptr<GlobalCut> Store::take_cut(std::uint64_t seq, int nprocs,
-                                           std::uint64_t calls) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = staged_.find(seq);
-  if (it == staged_.end() || static_cast<int>(it->second.size()) != nprocs) {
-    throw RuntimeFault("ckpt: seal(" + std::to_string(seq) +
-                       ") with incomplete staging");
-  }
+void Store::seal(std::uint64_t seq, int nprocs, std::uint64_t calls) {
   auto cut = std::make_shared<GlobalCut>();
-  cut->seq = seq;
-  cut->calls = calls;
-  cut->nprocs = nprocs;
-  cut->key = key_;
-  cut->ranks.resize(static_cast<std::size_t>(nprocs));
-  for (auto& [rank, rs] : it->second) {
-    cut->ranks[static_cast<std::size_t>(rank)] = std::move(rs);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = staged_.find(seq);
+    if (it == staged_.end() || static_cast<int>(it->second.size()) != nprocs) {
+      throw RuntimeFault("ckpt: seal(" + std::to_string(seq) +
+                         ") with incomplete staging");
+    }
+    cut->seq = seq;
+    cut->calls = calls;
+    cut->nprocs = nprocs;
+    cut->key = key_;
+    cut->ranks.resize(static_cast<std::size_t>(nprocs));
+    for (auto& [rank, rs] : it->second) {
+      cut->ranks[static_cast<std::size_t>(rank)] = std::move(rs);
+    }
+    staged_.erase(it);
   }
-  staged_.erase(it);
-  // Mark the write active *before* the sealer parks on the release
-  // barrier, so the watchdog never observes a blocked-and-quiescent
-  // window between seal() returning and the writer thread starting.
-  writing_.fetch_add(1, std::memory_order_release);
-  return cut;
-}
-
-void Store::seal(std::uint64_t seq, int nprocs, std::uint64_t calls,
-                 std::function<void()> release) {
-  quiesce();  // At most one writer in flight.
-  auto cut = take_cut(seq, nprocs, calls);
-  writer_ = std::jthread([this, cut = std::move(cut),
-                          release = std::move(release)]() mutable {
-    write_cut(std::move(cut), std::move(release));
-  });
-}
-
-void Store::seal_sync(std::uint64_t seq, int nprocs, std::uint64_t calls,
-                      std::function<void()> release) {
-  // Cooperative-scheduler path: a hidden writer thread would never be
-  // scheduled, so the sealing rank does the write on its own lane.
-  write_cut(take_cut(seq, nprocs, calls), std::move(release));
-}
-
-void Store::write_cut(std::shared_ptr<GlobalCut> cut,
-                      std::function<void()> release) {
   const auto t0 = std::chrono::steady_clock::now();
   if (opts_.write_hook) opts_.write_hook();
   const std::vector<std::byte> bytes = encode(*cut);
@@ -116,14 +88,6 @@ void Store::write_cut(std::shared_ptr<GlobalCut> cut,
     obs::count(obs::Counter::kCkptMicros,
                static_cast<std::uint64_t>(micros));
   }
-  writing_.fetch_sub(1, std::memory_order_release);
-  if (release) release();
-}
-
-void Store::quiesce() { writer_ = {}; }
-
-bool Store::write_active() const noexcept {
-  return writing_.load(std::memory_order_acquire) > 0;
 }
 
 std::shared_ptr<const GlobalCut> Store::committed() const {

@@ -8,16 +8,16 @@
 /// channel state (its queued mailbox envelopes and the rendezvous buffers it
 /// parked) captured between two internal barriers, so no message straddles
 /// the cut. Ranks stage their snapshots directly into the Store (same
-/// address space — no messages needed for sealing); rank 0 seals the cut,
-/// which serializes it, optionally persists it to disk, and releases the
-/// blocked ranks. On a NodeCrashFault, mp::run re-hosts the dead node's
-/// ranks on surviving nodes and replays from the last committed cut.
+/// address space — no messages needed for sealing); rank 0 seals the cut on
+/// its own thread, which serializes it and optionally persists it to disk,
+/// and then releases the blocked ranks. On a NodeCrashFault, mp::run
+/// re-hosts the dead node's ranks on surviving nodes and replays from the
+/// last committed cut.
 ///
 /// The Store is deliberately independent of the mp runtime (it only uses
 /// the header-only envelope/payload types), so tests can drive it directly
 /// and a future multi-process transport can reuse the format.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -25,7 +25,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mp/message.hpp"
@@ -44,9 +43,9 @@ struct Options {
   /// committed cut and every rank restores from it on its first
   /// checkpoint() call.
   std::string restart_from;
-  /// Test seam: runs inside the commit write, while ranks are parked on the
-  /// release barrier (used to prove the deadlock watchdog treats checkpoint
-  /// I/O as progress).
+  /// Test seam: runs inside seal() on the committing rank, while the other
+  /// ranks wait on the release (used to prove the deadlock watchdog does not
+  /// mistake a slow checkpoint write for a deadlock).
   std::function<void()> write_hook;
 };
 
@@ -89,15 +88,14 @@ struct GlobalCut {
   std::vector<RankState> ranks;
 };
 
-/// Staging area + committed-cut holder + async cut writer.
+/// Staging area + committed-cut holder.
 ///
 /// Thread safety: stage()/seal()/committed()/stats() may be called
-/// concurrently from rank threads; begin_job()/quiesce() only from the
-/// thread driving mp::run.
+/// concurrently from rank threads; begin_job() only from the thread driving
+/// mp::run.
 class Store {
  public:
   explicit Store(Options opts);
-  ~Store();
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
@@ -115,26 +113,11 @@ class Store {
   void stage(std::uint64_t seq, const std::string& key, int rank,
              RankState rs);
 
-  /// Seal the cut at \p seq (all \p nprocs ranks must have staged).
-  /// Serializes + persists the cut on a writer thread, then runs
-  /// \p release (which unblocks the parked ranks). Returns immediately.
-  void seal(std::uint64_t seq, int nprocs, std::uint64_t calls,
-            std::function<void()> release);
-
-  /// Synchronous variant for the cooperative (verify) scheduler, where a
-  /// hidden writer thread would not be scheduled: seals inline on the
-  /// calling rank's thread.
-  void seal_sync(std::uint64_t seq, int nprocs, std::uint64_t calls,
-                 std::function<void()> release);
-
-  /// Join any in-flight writer. mp::run calls this after joining ranks and
-  /// before tearing down runtime state the release closure points into.
-  void quiesce();
-
-  /// True while a seal is being written. The deadlock watchdog treats this
-  /// as progress: a slow checkpoint write parks every rank on the release
-  /// barrier, which is delivery-quiescent but very much not a deadlock.
-  bool write_active() const noexcept;
+  /// Seal the cut at \p seq (all \p nprocs ranks must have staged, else
+  /// RuntimeFault): serializes it, persists it when Options::save_path is
+  /// set, and publishes it as the committed cut, all on the calling rank's
+  /// thread, where the write's cost lands in that rank's profile.
+  void seal(std::uint64_t seq, int nprocs, std::uint64_t calls);
 
   /// Last committed cut, or nullptr. Never mutated after publication.
   std::shared_ptr<const GlobalCut> committed() const;
@@ -159,11 +142,6 @@ class Store {
   /// @}
 
  private:
-  std::shared_ptr<GlobalCut> take_cut(std::uint64_t seq, int nprocs,
-                                      std::uint64_t calls);
-  void write_cut(std::shared_ptr<GlobalCut> cut,
-                 std::function<void()> release);
-
   const Options opts_;
   mutable std::mutex mu_;
   bool adopted_restart_ = false;
@@ -171,8 +149,6 @@ class Store {
   std::map<std::uint64_t, std::map<int, RankState>> staged_;
   std::shared_ptr<const GlobalCut> committed_;
   Stats stats_;
-  std::atomic<int> writing_{0};
-  std::jthread writer_;  ///< At most one in flight; joined before reuse.
 };
 
 /// Installs \p opts as the process-wide current store for the duration of

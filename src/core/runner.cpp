@@ -52,12 +52,79 @@ void bind_output_hooks(ckpt::Store& store, OutputCapture& out) {
   };
 }
 
-/// Verification path of run(): hands the configured body to pml::verify,
-/// which executes it repeatedly under controlled scheduling. Each execution
-/// gets a fresh capture/trace/context; the surviving output is the
-/// violating (or last) execution's — the one the counterexample describes.
-RunResult run_verified(const Patternlet& p, const RunSpec& spec, int tasks,
-                       ToggleSet toggles) {
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Runs \p p's body once, on a cleared \p out and \p trace, under the run's
+/// obs, fault and ckpt windows, and records in \p r what that execution
+/// left: the body's wall time, the probe, the profile, the fault and ckpt
+/// tallies, and the RuntimeFault that ended it under injection. A verified
+/// run calls this once per explored execution, so every window restarts
+/// with the schedule and \p r describes the last execution — the violating
+/// one, when there is one.
+void execute(const Patternlet& p, const RunSpec& spec, OutputCapture& out,
+             Trace& trace, RunResult& r) {
+  out.clear();
+  trace.clear();
+  RunContext ctx{r.tasks, r.toggles, out, trace, spec.params};
+  std::optional<obs::Scope> profiling;
+  if (spec.profile) profiling.emplace(spec.obs_ring_spans);
+  const auto t0 = std::chrono::steady_clock::now();
+  // A plain run opens this inside its chaos window, so an unseeded fault
+  // spec inherits the chaos seed (fault::effective_seed falls back to
+  // sched::seed()). A bad spec throws UsageError here, before the body.
+  std::optional<fault::FaultScope> faults;
+  if (!spec.fault_spec.empty()) {
+    faults.emplace(fault::FaultPlan::parse(spec.fault_spec));
+  }
+  // Installs the process-wide store mp::run picks up, wired to this run's
+  // output capture for replay-prefix rollback.
+  std::optional<ckpt::Scope> ckpts;
+  if (spec.ckpt || !spec.restart_from.empty()) {
+    ckpts.emplace(ckpt_options_for(spec));
+    bind_output_hooks(ckpts->store(), out);
+  }
+  // Runs on every exit, after every team thread and rank joined (the merge
+  // contract obs::Scope::finish documents). A scheduler terminal that
+  // aborts a verified execution mid-body keeps its spans: they show where
+  // every lane stopped.
+  const auto collect = [&] {
+    r.seconds = seconds_since(t0);
+    if (ctx.probe.used()) {
+      r.expected_updates = ctx.probe.expected();
+      r.observed_updates = ctx.probe.observed();
+    } else {
+      r.expected_updates.reset();
+      r.observed_updates.reset();
+    }
+    if (faults.has_value()) r.fault_stats = fault::stats();
+    if (ckpts.has_value()) r.ckpt_stats = ckpts->store().stats();
+    if (profiling.has_value()) r.metrics = profiling->finish();
+  };
+  r.fault_abort.reset();
+  try {
+    p.body(ctx);
+  } catch (const RuntimeFault& e) {
+    // Under injection a runtime fault (deadlock diagnosis, collective
+    // timeout, node crash) IS the demonstration: record it as the run's
+    // outcome instead of failing the runner. Without injection a
+    // patternlet that throws is a bug, and the exception propagates.
+    if (!faults.has_value()) {
+      collect();
+      throw;
+    }
+    r.fault_abort = e.what();
+  } catch (...) {
+    collect();
+    throw;
+  }
+  collect();
+}
+
+/// Exploration bounds a --verify or --replay run asks for. Verification
+/// owns the schedule, so a chaos seed is a usage error.
+verify::Options verify_options(const RunSpec& spec) {
   if (spec.chaos_seed != 0) {
     throw UsageError("--verify replaces chaos perturbation; drop --chaos-seed");
   }
@@ -73,218 +140,84 @@ RunResult run_verified(const Patternlet& p, const RunSpec& spec, int tasks,
   vopts.preemption_bound = spec.verify_bound;
   vopts.max_executions = spec.verify_budget;
   vopts.fault_dimension = !spec.fault_spec.empty();
-
-  std::vector<OutputLine> last_output;
-  std::vector<TraceEvent> last_trace;
-  std::optional<obs::Profile> last_metrics;
-  std::optional<ckpt::Stats> last_ckpt_stats;
-  std::optional<long> expected_updates;
-  std::optional<long> observed_updates;
-  OutputCapture out;
-  if (spec.mirror_stdout) out.mirror_to(&std::cout);
-  const auto body = [&] {
-    out.clear();
-    Trace trace;
-    RunContext ctx{tasks, toggles, out, trace, spec.params};
-    // Per-execution profile scope: on a violation the last execution *is*
-    // the violating one, so --trace-json renders the counterexample's
-    // schedule in Perfetto.
-    std::optional<obs::Scope> profiling;
-    if (spec.profile) profiling.emplace(spec.obs_ring_spans);
-    // The fault window opens per execution so fault counters and crash
-    // countdowns restart with the schedule. A bad spec throws UsageError
-    // out of explore() on the first execution.
-    std::optional<fault::FaultScope> faults;
-    if (!spec.fault_spec.empty()) {
-      faults.emplace(fault::FaultPlan::parse(spec.fault_spec));
-    }
-    // The checkpoint window likewise opens per execution, so commit
-    // counters and the committed cut restart with the schedule — a
-    // crash+restart recovery is explored (and replayed) deterministically.
-    std::optional<ckpt::Scope> ckpts;
-    if (spec.ckpt || !spec.restart_from.empty()) {
-      ckpts.emplace(ckpt_options_for(spec));
-      bind_output_hooks(ckpts->store(), out);
-    }
-    try {
-      p.body(ctx);
-    } catch (const RuntimeFault&) {
-      // Parity with the normal path: under injection a runtime fault is
-      // the demonstration, not a bug. The scheduler's own terminal checks
-      // (deadlock, lost signal) already classified anything interesting.
-      if (!faults.has_value()) throw;
-    } catch (...) {
-      // A scheduler terminal (deadlock, budget) aborts the execution
-      // mid-body; keep its spans — they show *where* every lane stopped.
-      if (profiling.has_value()) last_metrics = profiling->finish();
-      if (ckpts.has_value()) last_ckpt_stats = ckpts->store().stats();
-      last_output = out.lines();
-      last_trace = trace.events();
-      throw;
-    }
-    if (profiling.has_value()) last_metrics = profiling->finish();
-    if (ckpts.has_value()) last_ckpt_stats = ckpts->store().stats();
-    last_output = out.lines();
-    last_trace = trace.events();
-    if (ctx.probe.used()) {
-      expected_updates = ctx.probe.expected();
-      observed_updates = ctx.probe.observed();
-    } else {
-      expected_updates.reset();
-      observed_updates.reset();
-    }
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  verify::Result vr;
-  if (!spec.replay_schedule.empty()) {
-    const verify::Schedule schedule = verify::Schedule::parse(spec.replay_schedule);
-    vr = verify::replay(body, schedule, vopts);
-  } else {
-    vr = verify::explore(body, vopts);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.slug = p.slug;
-  result.tasks = tasks;
-  result.output = std::move(last_output);
-  result.trace = std::move(last_trace);
-  result.metrics = std::move(last_metrics);
-  if (result.metrics.has_value()) {
-    result.critical_path = obs::critical_path(*result.metrics);
-  }
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.expected_updates = expected_updates;
-  result.observed_updates = observed_updates;
-  result.ckpt_stats = last_ckpt_stats;
-  if (vr.found) {
-    // Stamp the counterexample with the full configuration so --replay can
-    // reconstruct this exact run from the file alone.
-    vr.counterexample.slug = p.slug;
-    vr.counterexample.tasks = tasks;
-    vr.counterexample.toggles = toggles.values();
-    for (const auto& [name, value] : spec.params) {
-      vr.counterexample.params.emplace_back(name, value);
-    }
-    vr.counterexample.fault_spec = spec.fault_spec;
-    result.counterexample = vr.counterexample.to_string();
-  }
-  if (!vr.analysis.findings.empty()) result.analysis = vr.analysis;
-  result.toggles = std::move(toggles);
-  result.verification = std::move(vr);
-  return result;
+  return vopts;
 }
 
 }  // namespace
 
 RunResult run(const Patternlet& p, const RunSpec& spec) {
-  const int tasks = spec.tasks > 0 ? spec.tasks : p.default_tasks;
-  if (tasks <= 0) throw UsageError("patternlet '" + p.slug + "': task count must be positive");
-
-  ToggleSet toggles{p.toggles};
-  if (spec.all_toggles.has_value()) toggles.set_all(*spec.all_toggles);
-  for (const auto& [name, value] : spec.toggle_overrides) toggles.set(name, value);
-
-  if (spec.verify || !spec.replay_schedule.empty()) {
-    return run_verified(p, spec, tasks, std::move(toggles));
+  RunResult result;
+  result.slug = p.slug;
+  result.tasks = spec.tasks > 0 ? spec.tasks : p.default_tasks;
+  if (result.tasks <= 0) {
+    throw UsageError("patternlet '" + p.slug + "': task count must be positive");
   }
+  result.toggles = ToggleSet{p.toggles};
+  if (spec.all_toggles.has_value()) result.toggles.set_all(*spec.all_toggles);
+  for (const auto& [name, value] : spec.toggle_overrides) result.toggles.set(name, value);
+  result.chaos_seed = spec.chaos_seed;
 
   OutputCapture out;
   if (spec.mirror_stdout) out.mirror_to(&std::cout);
   Trace trace;
-  RunContext ctx{tasks, toggles, out, trace, spec.params};
+  const auto execute_once = [&] { execute(p, spec, out, trace, result); };
 
-  // Analysis window covers exactly the body, like the chaos window below.
-  std::optional<analyze::Scope> analysis;
-  if (spec.analyze) analysis.emplace();
-
-  // Profiling window likewise covers exactly the body. finish() below runs
-  // after the body returned, i.e. after every team thread / rank joined —
-  // the merge contract obs::Scope documents.
-  std::optional<obs::Scope> profiling;
-  if (spec.profile) profiling.emplace(spec.obs_ring_spans);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::optional<fault::Stats> fault_stats;
-  std::optional<ckpt::Stats> ckpt_stats;
-  std::optional<std::string> fault_abort;
-  {
-    // Perturbation window covers exactly the body: the scope restores the
-    // previous seed even if the body throws.
-    sched::ChaosScope chaos{spec.chaos_seed};
-    // The fault window nests inside the chaos window so an unseeded fault
-    // spec inherits the chaos seed (fault::effective_seed falls back to
-    // sched::seed()). A bad spec throws UsageError here, before the body.
-    std::optional<fault::FaultScope> faults;
-    if (!spec.fault_spec.empty()) {
-      faults.emplace(fault::FaultPlan::parse(spec.fault_spec));
+  if (spec.verify || !spec.replay_schedule.empty()) {
+    // pml::verify executes the body repeatedly under controlled scheduling
+    // and opens the analyze window of every execution itself.
+    const verify::Options vopts = verify_options(spec);
+    const auto t0 = std::chrono::steady_clock::now();
+    verify::Result vr =
+        spec.replay_schedule.empty()
+            ? verify::explore(execute_once, vopts)
+            : verify::replay(execute_once, verify::Schedule::parse(spec.replay_schedule),
+                             vopts);
+    result.seconds = seconds_since(t0);
+    if (vr.found) {
+      // Stamp the counterexample with the full configuration so --replay can
+      // reconstruct this exact run from the file alone.
+      vr.counterexample.slug = p.slug;
+      vr.counterexample.tasks = result.tasks;
+      vr.counterexample.toggles = result.toggles.values();
+      for (const auto& [name, value] : spec.params) {
+        vr.counterexample.params.emplace_back(name, value);
+      }
+      vr.counterexample.fault_spec = spec.fault_spec;
+      result.counterexample = vr.counterexample.to_string();
     }
-    // Checkpoint window: installs the process-wide store mp::run picks up,
-    // wired to this run's output capture for replay-prefix rollback.
-    std::optional<ckpt::Scope> ckpts;
-    if (spec.ckpt || !spec.restart_from.empty()) {
-      ckpts.emplace(ckpt_options_for(spec));
-      bind_output_hooks(ckpts->store(), out);
+    if (!vr.analysis.findings.empty()) result.analysis = vr.analysis;
+    result.verification = std::move(vr);
+  } else {
+    // The analysis and perturbation windows cover exactly the body; the
+    // chaos scope restores the previous seed even if the body throws.
+    std::optional<analyze::Scope> analysis;
+    if (spec.analyze) analysis.emplace();
+    {
+      sched::ChaosScope chaos{spec.chaos_seed};
+      execute_once();
     }
-    try {
-      p.body(ctx);
-    } catch (const RuntimeFault& e) {
-      // Under injection a runtime fault (deadlock diagnosis, collective
-      // timeout, node crash) IS the demonstration: record it as the run's
-      // outcome instead of failing the runner. Without injection the old
-      // contract holds — a patternlet that throws is a bug.
-      if (!faults.has_value()) throw;
-      fault_abort = e.what();
-    }
-    if (faults.has_value()) fault_stats = fault::stats();
-    if (ckpts.has_value()) ckpt_stats = ckpts->store().stats();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  std::optional<obs::Profile> metrics;
-  if (profiling.has_value()) metrics = profiling->finish();
-
-  // Harvest the lost-update probe into the trace so the report rides the
-  // same channel as the schedule figures: task -1 (the orchestrator),
-  // key = expected updates, aux = observed.
-  if (ctx.probe.used()) {
-    trace.record(-1, "lost-updates", ctx.probe.expected(), ctx.probe.observed());
+    if (analysis.has_value()) result.analysis = analysis->finish();
   }
 
-  // Findings ride the same trace channel as the schedule figures and the
-  // probe: task -1 (the orchestrator), kind "finding:<checker>",
-  // key = finding index, aux = 1 for errors / 0 for notes.
-  std::optional<analyze::Report> report;
-  if (analysis.has_value()) {
-    report = analysis->finish();
+  if (result.metrics.has_value()) {
+    result.critical_path = obs::critical_path(*result.metrics);
+  }
+  // The probe and the findings ride the same trace channel as the schedule
+  // figures, on task -1 (the orchestrator): "lost-updates" with key =
+  // expected updates and aux = observed, and one "finding:<checker>" per
+  // finding with key = its index and aux = 1 for errors / 0 for notes.
+  if (result.expected_updates.has_value()) {
+    trace.record(-1, "lost-updates", *result.expected_updates, *result.observed_updates);
+  }
+  if (result.analysis.has_value()) {
     std::int64_t index = 0;
-    for (const auto& f : report->findings) {
+    for (const auto& f : result.analysis->findings) {
       trace.record(-1, std::string("finding:") + analyze::to_string(f.checker), index++,
                    f.severity == analyze::Severity::kError ? 1 : 0);
     }
   }
-
-  RunResult result;
-  result.slug = p.slug;
-  result.tasks = tasks;
-  result.toggles = std::move(toggles);
   result.output = out.lines();
   result.trace = trace.events();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.chaos_seed = spec.chaos_seed;
-  if (ctx.probe.used()) {
-    result.expected_updates = ctx.probe.expected();
-    result.observed_updates = ctx.probe.observed();
-  }
-  result.analysis = std::move(report);
-  result.metrics = std::move(metrics);
-  if (result.metrics.has_value()) {
-    result.critical_path = obs::critical_path(*result.metrics);
-  }
-  result.fault_stats = fault_stats;
-  result.ckpt_stats = ckpt_stats;
-  result.fault_abort = std::move(fault_abort);
   return result;
 }
 

@@ -62,8 +62,10 @@ struct RunSpec {
   /// the body executes repeatedly, one runnable lane at a time, while the
   /// explorer enumerates interleavings under the bound policy. Every
   /// execution runs the analyze checkers; the first violation stops the
-  /// search and serializes a replayable counterexample. Mutually exclusive
-  /// with chaos_seed / analyze / profile (verify owns all three windows).
+  /// search and serializes a replayable counterexample. Verify owns the
+  /// schedule and the analyze window, so chaos_seed must be 0 and analyze
+  /// adds nothing; the profile, fault and ckpt windows open per execution
+  /// and RunResult reports the last one, as a plain run reports its only one.
   bool verify = false;
   int verify_bound = 2;              ///< Preemption bound (chess mode).
   std::uint64_t verify_budget = 200; ///< Max executions to explore.
@@ -96,7 +98,8 @@ struct RunResult {
   ToggleSet toggles;               ///< The configuration it ran with.
   std::vector<OutputLine> output;  ///< Captured lines, arrival order.
   std::vector<TraceEvent> trace;   ///< Work-assignment events.
-  double seconds = 0.0;            ///< Wall time of the body.
+  double seconds = 0.0;            ///< Wall time of the body (of the whole
+                                   ///< exploration under verify or replay).
   std::uint64_t chaos_seed = 0;    ///< Perturbation seed used (0 = none).
   /// Lost-update report when the patternlet drove its probe: updates a
   /// correct run would make, updates observed. Absent otherwise.

@@ -4,7 +4,6 @@
 
 #include "ckpt/ckpt.hpp"
 #include "fault/fault.hpp"
-#include "sched/coop.hpp"
 #include "smp/wtime.hpp"
 
 namespace pml::mp {
@@ -66,20 +65,11 @@ void Communicator::send_payload(int dest, int tag, Payload&& bytes,
     deliver(dest, std::move(e));
     return;
   }
-  RendezvousTable::Parked parked;
-  parked.storage.emplace<Payload>(std::move(bytes));
-  // The view must come from the payload inside the std::any (heap-held, so
-  // the pointer survives every later move of Parked).
-  auto& held = *std::any_cast<Payload>(&parked.storage);
-  parked.data = held.data();
-  parked.bytes = held.size();
-  send_rts(dest, tag, std::move(parked), ack_id);
+  send_rts(dest, tag, RendezvousTable::Parked::owning(std::move(bytes)), ack_id);
 }
 
-void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
-                            std::uint64_t ack_id) const {
-  obs::SpanScope span{obs::SpanKind::kRendezvous, "rdv-park", dest,
-                      static_cast<std::int64_t>(parked.bytes)};
+RendezvousHandle Communicator::park_rts(int dest, int tag,
+                                        RendezvousTable::Parked&& parked) const {
   parked.sender = rank_;
   parked.dest = dest;
   parked.tag = tag;
@@ -88,7 +78,15 @@ void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
   handle.bytes = parked.bytes;
   handle.ticket = state_->rendezvous.park(std::move(parked));
   obs::count(obs::Counter::kRdvParked);
-  Envelope e{context_, rank_, tag, Codec<RendezvousHandle>::encode(handle)};
+  return handle;
+}
+
+void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
+                            std::uint64_t ack_id) const {
+  obs::SpanScope span{obs::SpanKind::kRendezvous, "rdv-park", dest,
+                      static_cast<std::int64_t>(parked.bytes)};
+  Envelope e{context_, rank_, tag,
+             Codec<RendezvousHandle>::encode(park_rts(dest, tag, std::move(parked)))};
   e.rts = true;
   if (ack_id != 0) {
     e.wants_ack = true;
@@ -208,17 +206,13 @@ void Communicator::ckpt_check_world() const {
 
 bool Communicator::ckpt_take_restore(Payload& out) const {
   const auto idx = static_cast<std::size_t>(rank_);
-  if (state_->ckpt_restore_pending.empty() || !state_->ckpt_restore_pending[idx]) {
-    return false;
-  }
+  if (!state_->ckpt_restore_pending[idx]) return false;
   state_->ckpt_restore_pending[idx] = 0;
-  std::vector<std::byte>& blob = state_->ckpt_restore_blob[idx];
+  const std::vector<std::byte>& blob = state_->ckpt_restore->ranks[idx].state;
   out.append(blob.data(), blob.size());
-  blob.clear();
-  blob.shrink_to_fit();
   // Resume the call counter where the cut committed: the next interval-th
   // call lands on the same indices as the crash-free run.
-  state_->ckpt_calls[idx] = state_->ckpt_restore_calls;
+  state_->ckpt_calls[idx] = state_->ckpt_restore->calls;
   return true;
 }
 
@@ -271,46 +265,27 @@ void Communicator::ckpt_commit(const std::string& key, Payload&& blob) const {
     if (is_ckpt_tag(e.tag)) continue;  // protocol traffic is not user state
     rs.mailbox.push_back(std::move(e));
   }
-  for (auto& [ticket, parked] : state_->rendezvous.snapshot_for_sender(
-           group_[static_cast<std::size_t>(rank_)])) {
-    ckpt::ParkedCopy copy;
-    copy.ticket = ticket;
-    copy.sender = parked.sender;
-    copy.dest = parked.dest;
-    copy.tag = parked.tag;
-    copy.context = parked.context;
-    copy.bytes.assign(parked.data, parked.data + parked.bytes);
-    rs.parks.push_back(std::move(copy));
-  }
+  rs.parks = state_->rendezvous.snapshot_for_sender(
+      group_[static_cast<std::size_t>(rank_)]);
   store->stage(seq, key, group_[static_cast<std::size_t>(rank_)], std::move(rs));
 
   // Exit barrier: no rank resumes (and sends post-cut traffic into a
   // mailbox another rank has yet to snapshot) until every slice is staged.
   ckpt_barrier(internal_tag::kCkptBarrierB, "checkpoint");
 
+  // Rank 0 seals the cut on its own thread and then releases every rank,
+  // itself included. The others park until the seal lands: the cut is
+  // unusable before it is committed, so resuming earlier would let a crash
+  // strand us with no cut to replay. Unbounded on purpose — a slow write
+  // must not trip the collective timeout, and the watchdog never mistakes
+  // it for a deadlock, because the sealing rank is running, not blocked.
   if (rank_ == 0) {
-    auto* st = state_.get();
-    const int p = size();
-    std::vector<int> world = group_;
-    auto release = [st, p, world = std::move(world), ctx = context_]() {
-      for (int r = 0; r < p; ++r) {
-        st->mailboxes[static_cast<std::size_t>(world[static_cast<std::size_t>(r)])]
-            ->deposit_trusted(
-                Envelope{ctx, 0, internal_tag::kCkptRelease, Payload{}});
-      }
-    };
-    if (sched::coop_active()) {
-      store->seal_sync(seq, size(), seq, std::move(release));
-    } else {
-      store->seal(seq, size(), seq, std::move(release));
+    store->seal(seq, size(), seq);
+    for (const int r : group_) {
+      state_->mailboxes[static_cast<std::size_t>(r)]->deposit_trusted(
+          Envelope{context_, 0, internal_tag::kCkptRelease, Payload{}});
     }
   }
-  // Park until the seal lands: the cut is unusable before it is committed,
-  // so resuming earlier would let a crash strand us with no cut to replay.
-  // Unbounded on purpose — a slow write must not trip the collective
-  // timeout; if the sealer died pre-seal, the watchdog (which treats an
-  // active write as progress, and its absence as none) converts the stall
-  // into a recoverable deadlock instead.
   (void)my_mailbox().receive(context_, 0, internal_tag::kCkptRelease);
 }
 

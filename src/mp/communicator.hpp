@@ -255,18 +255,7 @@ class Communicator {
     const bool large = bytes.size() > state_->eager_bytes;
     RendezvousHandle handle;
     if (large) {
-      RendezvousTable::Parked parked;
-      parked.storage.emplace<Payload>(std::move(bytes));
-      auto& held = *std::any_cast<Payload>(&parked.storage);
-      parked.data = held.data();
-      parked.bytes = held.size();
-      parked.sender = rank_;
-      parked.dest = dest;
-      parked.tag = tag;
-      parked.context = context_;
-      handle.bytes = parked.bytes;
-      handle.ticket = state_->rendezvous.park(std::move(parked));
-      obs::count(obs::Counter::kRdvParked);
+      handle = park_rts(dest, tag, RendezvousTable::Parked::owning(std::move(bytes)));
     }
     for (int attempt = 1;; ++attempt) {
       const std::uint64_t id = state_->next_ack.fetch_add(1);
@@ -971,7 +960,12 @@ class Communicator {
   void send_payload(int dest, int tag, Payload&& bytes,
                     std::uint64_t ack_id = 0) const;
 
-  /// Parks \p parked under a fresh ticket and deposits its RTS envelope.
+  /// Stamps \p parked as this rank's body for (dest, tag), parks it under
+  /// a fresh ticket and returns the handle its RTS envelopes carry.
+  RendezvousHandle park_rts(int dest, int tag,
+                            RendezvousTable::Parked&& parked) const;
+
+  /// park_rts(), then deposits the RTS envelope.
   void send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
                 std::uint64_t ack_id = 0) const;
 
@@ -1002,15 +996,7 @@ class Communicator {
       send_payload(dest, tag, std::move(bytes));
       return;
     }
-    RendezvousTable::Parked parked;
-    parked.storage.emplace<Box>(std::move(container));
-    // The view must come from the box *inside* the std::any: the any holds
-    // its large object on the heap, so the container's data() pointer is
-    // stable across every later move of Parked.
-    auto& held = *std::any_cast<Box>(&parked.storage);
-    parked.data = reinterpret_cast<const std::byte*>(held.data());
-    parked.bytes = nbytes;
-    send_rts(dest, tag, std::move(parked));
+    send_rts(dest, tag, RendezvousTable::Parked::owning(std::move(container)));
   }
 
   /// Moves a claimed body out as T: same-type claims transfer the buffer

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "ckpt/ckpt.hpp"
 #include "thread/adaptive_wait.hpp"
 
 namespace pml::mp {
@@ -39,26 +40,16 @@ std::size_t RendezvousTable::parked() const {
   return parked_.size();
 }
 
-std::vector<std::pair<std::uint64_t, RendezvousTable::Parked>>
-RendezvousTable::snapshot_for_sender(int sender) const {
+std::vector<ckpt::ParkedCopy> RendezvousTable::snapshot_for_sender(
+    int sender) const {
   std::lock_guard lock(mu_);
-  std::vector<std::pair<std::uint64_t, Parked>> out;
+  std::vector<ckpt::ParkedCopy> out;
   for (const auto& [ticket, body] : parked_) {
     if (body.sender != sender) continue;
-    // Deep copy: the copy's data view must point into the copy's own
-    // storage, not the live entry's (which a claim may free any time
-    // after the lock drops).
-    std::vector<std::byte> bytes(body.data, body.data + body.bytes);
-    Parked copy;
-    copy.storage = std::move(bytes);
-    const auto* owned = std::any_cast<std::vector<std::byte>>(&copy.storage);
-    copy.data = owned->data();
-    copy.bytes = owned->size();
-    copy.sender = body.sender;
-    copy.dest = body.dest;
-    copy.tag = body.tag;
-    copy.context = body.context;
-    out.emplace_back(ticket, std::move(copy));
+    // Copied under the lock: a claim may free the live body any time after
+    // it drops.
+    out.push_back({ticket, body.sender, body.dest, body.tag, body.context,
+                   std::vector<std::byte>(body.data, body.data + body.bytes)});
   }
   return out;
 }

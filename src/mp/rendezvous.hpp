@@ -40,8 +40,14 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
+
+namespace pml::ckpt {
+struct ParkedCopy;
+}
 
 namespace pml::mp {
 
@@ -65,6 +71,20 @@ class RendezvousTable {
     int dest = -1;
     int tag = 0;
     int context = 0;
+
+    /// Takes ownership of \p box (a std::vector<T>, std::string or
+    /// Payload) and views its bytes. The view comes from the box *inside*
+    /// the std::any, which holds a container on the heap, so the pointer
+    /// survives every later move of Parked.
+    template <typename Box>
+    static Parked owning(Box&& box) {
+      Parked parked;
+      const auto& held =
+          parked.storage.emplace<std::decay_t<Box>>(std::forward<Box>(box));
+      parked.data = reinterpret_cast<const std::byte*>(held.data());
+      parked.bytes = held.size() * sizeof(*held.data());
+      return parked;
+    }
   };
 
   /// Parks \p body and returns its claim ticket (never 0).
@@ -83,12 +103,11 @@ class RendezvousTable {
   std::size_t parked() const;
 
   /// Byte copies of every buffer \p sender currently has parked, with
-  /// their tickets. Part of a checkpoint cut's channel state: an RTS
-  /// envelope snapshot from a mailbox is useless without the parked body
-  /// its ticket points at. Copies (not moves) — the live table keeps
-  /// ownership until the real claim.
-  std::vector<std::pair<std::uint64_t, Parked>> snapshot_for_sender(
-      int sender) const;
+  /// their tickets, as a checkpoint cut stores them. Part of a cut's
+  /// channel state: an RTS envelope snapshot from a mailbox is useless
+  /// without the parked body its ticket points at. Copies (not moves) —
+  /// the live table keeps ownership until the real claim.
+  std::vector<ckpt::ParkedCopy> snapshot_for_sender(int sender) const;
 
   /// Re-parks a buffer under its original \p ticket (checkpoint restore).
   /// Advances the ticket counter past \p ticket so post-restore parks can

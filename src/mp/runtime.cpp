@@ -28,12 +28,6 @@ RuntimeState::RuntimeState(int np, Cluster c, pml::Trace* message_trace)
   for (int r = 0; r < np; ++r) {
     mailboxes.push_back(std::make_unique<Mailbox>(r, blocked, deliveries, message_trace));
   }
-  ckpt_calls.assign(static_cast<std::size_t>(np), 0);
-  ckpt_restore_pending.assign(static_cast<std::size_t>(np), 0);
-  ckpt_restore_blob.resize(static_cast<std::size_t>(np));
-  ckpt_lane_restore.assign(static_cast<std::size_t>(np), 0);
-  ckpt_lane_deliveries.assign(static_cast<std::size_t>(np), 0);
-  ckpt_lane_checkpoints.assign(static_cast<std::size_t>(np), 0);
 }
 
 std::shared_ptr<pml::thread::Event> RuntimeState::register_ack(std::uint64_t id) {
@@ -80,12 +74,10 @@ namespace {
 /// ranks: if every still-running rank sits in an indefinite wait and no
 /// message is delivered for the whole grace period, nothing can ever make
 /// progress (only ranks produce messages) — poison the job so it aborts
-/// with a diagnosis instead of hanging the process. An in-flight
-/// checkpoint write counts as progress: a slow seal parks every rank on
-/// the release barrier, which is delivery-quiescent but very much not a
-/// deadlock. Returns once every rank has finished or the job is poisoned.
+/// with a diagnosis instead of hanging the process. Returns once every rank
+/// has finished or the job is poisoned.
 void watch_for_deadlock(detail::RuntimeState& state, pml::thread::TaskGroup& ranks,
-                        std::chrono::milliseconds grace, ckpt::Store* store) {
+                        std::chrono::milliseconds grace) {
   const auto tick = std::chrono::milliseconds(50);
   const long needed_ticks = std::max<long>(1, grace.count() / tick.count());
   long stuck_ticks = 0;
@@ -96,8 +88,7 @@ void watch_for_deadlock(detail::RuntimeState& state, pml::thread::TaskGroup& ran
     const int live = state.nprocs - state.finished.load(std::memory_order_relaxed);
     const int blocked = state.blocked.load(std::memory_order_relaxed);
     const std::uint64_t delivered = state.deliveries.load();
-    const bool writing = store != nullptr && store->write_active();
-    if (live > 0 && blocked == live && delivered == last_deliveries && !writing) {
+    if (live > 0 && blocked == live && delivered == last_deliveries) {
       if (++stuck_ticks >= needed_ticks) {
         state.deadlock_detected.store(true);
         state.poison_all();
@@ -168,7 +159,11 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
     state->start_time = pml::smp::wtime();
     state->collective_timeout = collective_timeout;
     state->eager_bytes = eager_bytes;
-    state->ckpt_store = store;
+    if (store != nullptr) {
+      state->ckpt_store = store;
+      state->ckpt_calls.assign(static_cast<std::size_t>(nprocs), 0);
+      state->ckpt_restore_pending.assign(static_cast<std::size_t>(nprocs), 0);
+    }
 
     // Bind an active fault plan to this attempt's topology: node names in
     // the spec resolve against the cluster (a bad name throws UsageError
@@ -197,25 +192,19 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
     // Restore from the committed cut when there is one: after a crash on a
     // previous attempt, or on the very first attempt when the store adopted
     // a --restart-from snapshot. Each rank's serialized state is handed
-    // back by its first checkpoint() call; the channel state — queued
-    // envelopes and parked rendezvous bodies — is replayed into the fresh
-    // mailboxes/table here, before any rank runs. A crash that beat the
-    // first commit leaves no cut, and the attempt replays from scratch
-    // (on the re-hosted cluster, so the crash cannot recur).
+    // back by its first checkpoint() call, and its fault lane counters are
+    // restored as it starts; the channel state — queued envelopes and
+    // parked rendezvous bodies — is replayed into the fresh mailboxes/table
+    // here, before any rank runs. A crash that beat the first commit leaves
+    // no cut, and the attempt replays from scratch (on the re-hosted
+    // cluster, so the crash cannot recur).
     if (store != nullptr) {
-      const std::shared_ptr<const ckpt::GlobalCut> cut = store->committed();
+      std::shared_ptr<const ckpt::GlobalCut> cut = store->committed();
       if (cut != nullptr && cut->nprocs == nprocs) {
-        state->ckpt_restore_calls = cut->calls;
         for (int r = 0; r < nprocs; ++r) {
           const auto idx = static_cast<std::size_t>(r);
           const ckpt::RankState& rs = cut->ranks[idx];
           state->ckpt_restore_pending[idx] = 1;
-          state->ckpt_restore_blob[idx] = rs.state;
-          if (fault::active()) {
-            state->ckpt_lane_restore[idx] = 1;
-            state->ckpt_lane_deliveries[idx] = rs.fault_deliveries;
-            state->ckpt_lane_checkpoints[idx] = rs.fault_checkpoints;
-          }
           for (const Envelope& queued : rs.mailbox) {
             Envelope e = queued;
             // This job stamps its own ack/analyze/obs ids; a stale ack id
@@ -230,13 +219,7 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
             state->mailboxes[idx]->restore(std::move(e));
           }
           for (const ckpt::ParkedCopy& pc : rs.parks) {
-            RendezvousTable::Parked parked;
-            parked.storage.emplace<std::vector<std::byte>>(pc.bytes);
-            // The view must come from the vector inside the std::any
-            // (heap-held, stable across later moves of Parked).
-            auto& held = *std::any_cast<std::vector<std::byte>>(&parked.storage);
-            parked.data = held.data();
-            parked.bytes = held.size();
+            auto parked = RendezvousTable::Parked::owning(pc.bytes);
             parked.sender = pc.sender;
             parked.dest = pc.dest;
             parked.tag = pc.tag;
@@ -245,6 +228,7 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
           }
         }
         store->note_restored_ranks(nprocs);
+        state->ckpt_restore = std::move(cut);
       }
     }
 
@@ -260,13 +244,12 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
           // a chaos seed replays the same per-rank schedule, and fault
           // decisions, crash targeting and the profile's task ids read it.
           sched::bind_lane(static_cast<std::uint32_t>(r));
-          if (state->ckpt_lane_restore[static_cast<std::size_t>(r)] != 0 &&
-              fault::active()) {
+          if (state->ckpt_restore != nullptr && fault::active()) {
             // Resume the fault decision stream where the cut froze it, so a
             // seeded run replays the identical injections across a restart.
-            fault::lane_restore(
-                {state->ckpt_lane_deliveries[static_cast<std::size_t>(r)],
-                 state->ckpt_lane_checkpoints[static_cast<std::size_t>(r)]});
+            const ckpt::RankState& rs =
+                state->ckpt_restore->ranks[static_cast<std::size_t>(r)];
+            fault::lane_restore({rs.fault_deliveries, rs.fault_checkpoints});
           }
           Communicator world(state, /*context=*/0, world_group, r);
           // Topology for the profile: which virtual node hosts this rank
@@ -299,14 +282,10 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
       // deadlocks (a fruitless sweep over all blocked lanes), so the
       // wall-clock watchdog would only add false timing.
       if (options.deadlock_grace.count() > 0 && !sched::coop_active()) {
-        watch_for_deadlock(*state, ranks, options.deadlock_grace, store);
+        watch_for_deadlock(*state, ranks, options.deadlock_grace);
       }
       ranks.join();
     }
-
-    // Join any in-flight cut writer before this attempt's state can go away
-    // (the release closure deposits into its mailboxes).
-    if (store != nullptr) store->quiesce();
 
     // Elastic recovery: an injected node crash with a checkpoint store and
     // attempts to spare is not a failure — it is the scenario the store

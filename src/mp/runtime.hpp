@@ -29,6 +29,7 @@
 
 namespace pml::ckpt {
 class Store;
+struct GlobalCut;
 }
 
 namespace pml::mp {
@@ -85,19 +86,15 @@ struct RuntimeState {
   RendezvousTable rendezvous;
 
   /// \name Checkpoint/restart plumbing (pml::ckpt)
-  /// Borrowed store (nullptr = checkpointing off) plus per-rank restore
-  /// state. The restore vectors are written by the launcher thread before
-  /// ranks spawn (attempt > 0) and read once by each rank's own thread, so
+  /// Borrowed store (nullptr = checkpointing off; the per-rank vectors stay
+  /// empty) plus the committed cut this attempt restores from. The launcher
+  /// sets them before ranks spawn; each rank touches only its own slots, so
   /// they need no locking.
   /// @{
   pml::ckpt::Store* ckpt_store = nullptr;
+  std::shared_ptr<const pml::ckpt::GlobalCut> ckpt_restore;  ///< Or nullptr.
   std::vector<std::uint64_t> ckpt_calls;  ///< Per-rank checkpoint() index.
   std::vector<char> ckpt_restore_pending;  ///< First checkpoint() restores.
-  std::vector<std::vector<std::byte>> ckpt_restore_blob;  ///< User state.
-  std::uint64_t ckpt_restore_calls = 0;  ///< Call index to resume from.
-  std::vector<char> ckpt_lane_restore;   ///< Apply fault lane counters.
-  std::vector<std::uint64_t> ckpt_lane_deliveries;
-  std::vector<std::uint64_t> ckpt_lane_checkpoints;
   /// @}
 
   /// Throws RuntimeFault once the job is poisoned.

@@ -22,6 +22,8 @@
 #include "mp/communicator.hpp"
 #include "mp/op.hpp"
 #include "mp/runtime.hpp"
+#include "obs/obs.hpp"
+#include "obs/profile.hpp"
 
 namespace pml::ckpt {
 namespace {
@@ -52,9 +54,7 @@ TEST(CkptStore, StageAndSealSyncCommitACut) {
   store.begin_job();
   store.stage(3, "loop", 0, rank_state(std::byte{10}));
   store.stage(3, "loop", 1, rank_state(std::byte{11}));
-  bool released = false;
-  store.seal_sync(3, /*nprocs=*/2, /*calls=*/3, [&] { released = true; });
-  EXPECT_TRUE(released);
+  store.seal(3, /*nprocs=*/2, /*calls=*/3);
 
   const std::shared_ptr<const GlobalCut> cut = store.committed();
   ASSERT_NE(cut, nullptr);
@@ -84,15 +84,14 @@ TEST(CkptStore, SealingAnIncompleteCutIsARuntimeFault) {
   store.begin_job();
   store.stage(1, "loop", 0, rank_state(std::byte{1}));
   // Rank 1 never staged: sealing would publish a half cut.
-  EXPECT_THROW(store.seal_sync(1, /*nprocs=*/2, /*calls=*/1, [] {}),
-               RuntimeFault);
+  EXPECT_THROW(store.seal(1, /*nprocs=*/2, /*calls=*/1), RuntimeFault);
 }
 
 TEST(CkptStore, BeginJobDropsThePreviousJobsCutButKeepsStats) {
   Store store{Options{}};
   store.begin_job();
   store.stage(1, "loop", 0, rank_state(std::byte{1}));
-  store.seal_sync(1, /*nprocs=*/1, /*calls=*/1, [] {});
+  store.seal(1, /*nprocs=*/1, /*calls=*/1);
   ASSERT_NE(store.committed(), nullptr);
 
   store.begin_job();
@@ -507,6 +506,26 @@ TEST(CkptRun, WatchdogTreatsASlowCheckpointWriteAsProgress) {
   }, opts));
   EXPECT_EQ(scope.store().stats().commits, 1u);
   EXPECT_GE(scope.store().stats().write_micros, 500000u);
+}
+
+TEST(CkptRun, CommitCountersLandOnTheSealingRank) {
+  // Rank 0 seals the cut itself, so the write's bytes and time are charged
+  // to rank 0's profile, and no task outside the job's ranks shows up.
+  obs::Scope profiling;
+  Scope scope{Options{}};
+  mp::run(4, [](mp::Communicator& world) {
+    int state = world.rank();
+    world.checkpoint("profiled", state);
+  });
+  const obs::Profile p = profiling.finish();
+  const Stats stats = scope.store().stats();
+  ASSERT_EQ(stats.commits, 1u);
+  ASSERT_EQ(p.tasks.count(0), 1u);
+  EXPECT_EQ(p.tasks.at(0).value(obs::Counter::kCkptBytes), stats.bytes);
+  for (const auto& [task, metrics] : p.tasks) {
+    EXPECT_LT(task, obs::kUnboundTaskBase);
+  }
+  for (const auto& span : p.spans) EXPECT_LT(span.task, obs::kUnboundTaskBase);
 }
 
 // ---------------------------------------------------------------------------

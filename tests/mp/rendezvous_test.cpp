@@ -56,11 +56,7 @@ TEST(RendezvousTable, ParkClaimRoundTripsOwnership) {
   RendezvousTable table;
   std::vector<std::byte> bytes(128, std::byte{0x5a});
 
-  RendezvousTable::Parked parked;
-  parked.storage.emplace<std::vector<std::byte>>(std::move(bytes));
-  auto& held = *std::any_cast<std::vector<std::byte>>(&parked.storage);
-  parked.data = held.data();
-  parked.bytes = held.size();
+  auto parked = RendezvousTable::Parked::owning(std::move(bytes));
   parked.sender = 0;
   parked.dest = 1;
   parked.tag = 7;
@@ -83,11 +79,7 @@ TEST(RendezvousTable, ParkClaimRoundTripsOwnership) {
 TEST(RendezvousTable, TicketsAreUniqueAndDrainReturnsLeftovers) {
   RendezvousTable table;
   auto park_one = [&table](int tag) {
-    RendezvousTable::Parked p;
-    p.storage.emplace<std::string>(std::string(100, 'x'));
-    auto& held = *std::any_cast<std::string>(&p.storage);
-    p.data = reinterpret_cast<const std::byte*>(held.data());
-    p.bytes = held.size();
+    auto p = RendezvousTable::Parked::owning(std::string(100, 'x'));
     p.tag = tag;
     return table.park(std::move(p));
   };
