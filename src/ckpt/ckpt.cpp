@@ -72,7 +72,7 @@ void Store::seal(std::uint64_t seq, int nprocs, std::uint64_t calls) {
   const auto t0 = std::chrono::steady_clock::now();
   if (opts_.write_hook) opts_.write_hook();
   const std::vector<std::byte> bytes = encode(*cut);
-  if (!opts_.save_path.empty()) save(opts_.save_path, *cut);
+  if (!opts_.save_path.empty()) save(opts_.save_path, bytes);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -170,8 +170,7 @@ GlobalCut decode(const std::vector<std::byte>& bytes) {
   return cut;
 }
 
-void save(const std::string& path, const GlobalCut& cut) {
-  const std::vector<std::byte> bytes = encode(cut);
+void save(const std::string& path, const std::vector<std::byte>& bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {

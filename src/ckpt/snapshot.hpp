@@ -43,9 +43,9 @@ std::vector<std::byte> encode(const GlobalCut& cut);
 /// magic, unknown version, or truncated input.
 GlobalCut decode(const std::vector<std::byte>& bytes);
 
-/// Atomically write encode(cut) to \p path (tmp file + rename).
-/// Throws RuntimeFault on I/O failure.
-void save(const std::string& path, const GlobalCut& cut);
+/// Atomically write \p bytes, an encode()d cut, to \p path (tmp file +
+/// rename). Throws RuntimeFault on I/O failure.
+void save(const std::string& path, const std::vector<std::byte>& bytes);
 
 /// Read and decode a snapshot file. Throws UsageError when the file is
 /// missing or malformed.

@@ -48,21 +48,10 @@ void Communicator::check_tag(int tag) {
   }
 }
 
-int Communicator::next_pow2_at_least(int p) noexcept {
-  int v = 1;
-  while (v < p) v <<= 1;
-  return v;
-}
-
 void Communicator::send_payload(int dest, int tag, Payload&& bytes,
                                 std::uint64_t ack_id) const {
   if (bytes.size() <= state_->eager_bytes) {
-    Envelope e{context_, rank_, tag, std::move(bytes)};
-    if (ack_id != 0) {
-      e.wants_ack = true;
-      e.ack_id = ack_id;
-    }
-    deliver(dest, std::move(e));
+    deliver(dest, Envelope{context_, rank_, tag, std::move(bytes)}, ack_id);
     return;
   }
   send_rts(dest, tag, RendezvousTable::Parked::owning(std::move(bytes)), ack_id);
@@ -88,11 +77,7 @@ void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
   Envelope e{context_, rank_, tag,
              Codec<RendezvousHandle>::encode(park_rts(dest, tag, std::move(parked)))};
   e.rts = true;
-  if (ack_id != 0) {
-    e.wants_ack = true;
-    e.ack_id = ack_id;
-  }
-  deliver(dest, std::move(e));
+  deliver(dest, std::move(e), ack_id);
 }
 
 std::optional<RendezvousTable::Parked> Communicator::claim_rts(
@@ -121,18 +106,6 @@ void Communicator::check_backoff(const RetryPolicy& policy, const char* what) {
   }
 }
 
-std::vector<int> Communicator::bcast_children(int vr, int root) const {
-  const int p = size();
-  std::vector<int> kids;
-  for (int mask = next_pow2_at_least(p) >> 1; mask >= 1; mask >>= 1) {
-    // Child exists iff mask is above vr's lowest set bit and in range.
-    if ((vr & (mask - 1)) == 0 && (vr & mask) == 0 && vr + mask < p) {
-      kids.push_back((vr + mask + root) % p);
-    }
-  }
-  return kids;
-}
-
 void Communicator::throw_collective_timeout(int source, const char* what) const {
   const int world = group_[static_cast<std::size_t>(source)];
   std::string msg = std::string("collective timeout: ") + what + " at rank " +
@@ -157,42 +130,44 @@ bool Communicator::barrier_for(std::chrono::milliseconds timeout) const {
   const int p = size();
   if (p == 1) return true;
   if (rank_ != 0) {
-    deliver(0, Envelope{context_, rank_, internal_tag::kBarrierBase, Payload{}});
+    give(0, internal_tag::kBarrierFor, Payload{});
     // The release gets the root's whole collection budget plus slack for
     // the release hop; a silent root (crashed?) degrades rather than hangs.
     const auto verdict = recv_for<int>(timeout * 2 + std::chrono::milliseconds(100), 0,
-                                       internal_tag::kBarrierBase);
+                                       internal_tag::kBarrierFor);
     return verdict && *verdict != 0;
   }
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   bool all = true;
   for (int r = 1; r < p; ++r) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
     // Budget spent (<= 0): recv_for polls, so tokens already queued still
     // count as arrived.
-    if (!recv_for<Payload>(remaining, r, internal_tag::kBarrierBase)) all = false;
+    if (!recv_for<Payload>(time_left(deadline), r, internal_tag::kBarrierFor)) {
+      all = false;
+    }
   }
-  const Payload verdict = Codec<int>::encode(all ? 1 : 0);
-  for (int r = 1; r < p; ++r) {
-    Payload copy = verdict;
-    send_payload(r, internal_tag::kBarrierBase, std::move(copy));
-  }
+  for (int r = 1; r < p; ++r) keep(r, internal_tag::kBarrierFor, all ? 1 : 0);
   return all;
 }
 
 void Communicator::barrier() const {
-  // Dissemination barrier: in round k each rank sends a token to
-  // (rank + 2^k) mod p and awaits one from (rank - 2^k) mod p. After
-  // ceil(lg p) rounds every rank transitively heard from every other.
   obs::SpanScope coll{obs::SpanKind::kCollective, "mp-barrier"};
+  disseminate(internal_tag::kBarrierBase, "barrier", /*trusted=*/false);
+}
+
+void Communicator::disseminate(int base_tag, const char* what, bool trusted) const {
+  // In round k each rank sends a token to (rank + 2^k) mod p and awaits
+  // one from (rank - 2^k) mod p. After ceil(lg p) rounds every rank
+  // transitively heard from every other.
   const int p = size();
-  int round = 0;
-  for (int dist = 1; dist < p; dist <<= 1, ++round) {
+  for (int dist = 1, tag = base_tag; dist < p; dist <<= 1, ++tag) {
     const int to = (rank_ + dist) % p;
-    const int from = (rank_ - dist + p) % p;
-    deliver(to, Envelope{context_, rank_, internal_tag::kBarrierBase + round, Payload{}});
-    (void)coll_recv_typed<Payload>(from, internal_tag::kBarrierBase + round, "barrier");
+    if (trusted) {
+      deliver_trusted(to, tag);
+    } else {
+      give(to, tag, Payload{});
+    }
+    (void)coll_recv_typed<Payload>((rank_ - dist + p) % p, tag, what);
   }
 }
 
@@ -222,18 +197,6 @@ bool Communicator::ckpt_tick() const {
   return call % state_->ckpt_store->options().interval == 0;
 }
 
-void Communicator::ckpt_barrier(int base_tag, const char* what) const {
-  const int p = size();
-  int round = 0;
-  for (int dist = 1; dist < p; dist <<= 1, ++round) {
-    const int to = group_[static_cast<std::size_t>((rank_ + dist) % p)];
-    const int from = (rank_ - dist + p) % p;
-    state_->mailboxes[static_cast<std::size_t>(to)]->deposit_trusted(
-        Envelope{context_, rank_, base_tag + round, Payload{}});
-    (void)coll_recv_typed<Payload>(from, base_tag + round, what);
-  }
-}
-
 void Communicator::ckpt_commit(const std::string& key, Payload&& blob) const {
   ckpt::Store* store = state_->ckpt_store;
   const std::uint64_t seq = state_->ckpt_calls[static_cast<std::size_t>(rank_)];
@@ -259,7 +222,7 @@ void Communicator::ckpt_commit(const std::string& key, Payload&& blob) const {
   // already sits in some mailbox — snapshotting our *own* mailbox between
   // the barriers captures exactly the in-flight channel state, with no
   // message counted twice or dropped by the cut.
-  ckpt_barrier(internal_tag::kCkptBarrierA, "checkpoint");
+  disseminate(internal_tag::kCkptBarrierA, "checkpoint", /*trusted=*/true);
 
   for (Envelope& e : my_mailbox().snapshot()) {
     if (is_ckpt_tag(e.tag)) continue;  // protocol traffic is not user state
@@ -271,7 +234,7 @@ void Communicator::ckpt_commit(const std::string& key, Payload&& blob) const {
 
   // Exit barrier: no rank resumes (and sends post-cut traffic into a
   // mailbox another rank has yet to snapshot) until every slice is staged.
-  ckpt_barrier(internal_tag::kCkptBarrierB, "checkpoint");
+  disseminate(internal_tag::kCkptBarrierB, "checkpoint", /*trusted=*/true);
 
   // Rank 0 seals the cut on its own thread and then releases every rank,
   // itself included. The others park until the seal lands: the cut is
@@ -281,10 +244,7 @@ void Communicator::ckpt_commit(const std::string& key, Payload&& blob) const {
   // it for a deadlock, because the sealing rank is running, not blocked.
   if (rank_ == 0) {
     store->seal(seq, size(), seq);
-    for (const int r : group_) {
-      state_->mailboxes[static_cast<std::size_t>(r)]->deposit_trusted(
-          Envelope{context_, 0, internal_tag::kCkptRelease, Payload{}});
-    }
+    for (int r = 0; r < size(); ++r) deliver_trusted(r, internal_tag::kCkptRelease);
   }
   (void)my_mailbox().receive(context_, 0, internal_tag::kCkptRelease);
 }
@@ -303,6 +263,9 @@ struct SplitKey {
 Communicator Communicator::split(int color, int key) const {
   // 1. Everyone learns everyone's (color, key, old rank).
   const std::vector<SplitKey> all = allgather(SplitKey{color, key, rank_});
+  // After allgather's own spans, so they and this one cover the call
+  // without nesting.
+  obs::SpanScope coll{obs::SpanKind::kCollective, "split"};
 
   // 2. My color group, ordered by (key, old rank) — the MPI ordering rule.
   std::vector<SplitKey> mates;
@@ -329,7 +292,7 @@ Communicator Communicator::split(int color, int key) const {
     new_context = state_->next_context.fetch_add(1);
     for (const auto& sk : mates) {
       if (sk.old_rank != rank_) {
-        send_encoded(sk.old_rank, internal_tag::kSplit, new_context);
+        keep(sk.old_rank, internal_tag::kSplit, new_context);
       }
     }
   } else {

@@ -27,8 +27,11 @@
 /// Large-message transport: every data-bearing send routes through the
 /// eager/rendezvous split (see mp/rendezvous.hpp). Encoded bodies at or
 /// below the job's eager threshold travel inside their envelope; larger
-/// ones are parked and move by ownership transfer, so the rvalue send
-/// overloads and gatherv/allgatherv/scatter/alltoall(Payload) ship big
+/// ones are parked and move by ownership transfer. A collective sends in
+/// one of two ways: keep() ships a value the sender goes on using (one
+/// payload copy per hop), give() hands a container or Payload over (zero
+/// copies above the threshold) — so the rvalue send overloads and
+/// gatherv/allgatherv/scatter/alltoall of rvalue buffers ship big
 /// contiguous buffers with zero intermediate copies.
 
 #include <algorithm>
@@ -61,6 +64,10 @@ inline constexpr int kScan = kMaxUserTag + 68;
 inline constexpr int kAlltoall = kMaxUserTag + 69;
 inline constexpr int kSplit = kMaxUserTag + 70;
 inline constexpr int kAck = kMaxUserTag + 71;
+/// The bounded collectives' own tags: a report or contribution that lands
+/// after the root gave up is never consumed by an unbounded collective.
+inline constexpr int kBarrierFor = kMaxUserTag + 72;
+inline constexpr int kReduceTimeout = kMaxUserTag + 73;
 inline constexpr int kRingRs = kMaxUserTag + 74;  ///< Ring reduce-scatter blocks.
 inline constexpr int kRingAg = kMaxUserTag + 75;  ///< Ring allgather blocks.
 
@@ -127,9 +134,7 @@ class Communicator {
   void send(const T& value, int dest, int tag = 0) const {
     check_peer(dest, "send");
     check_tag(tag);
-    Payload bytes = Codec<T>::encode(value);
-    count_payload_copy(bytes.size());
-    send_payload(dest, tag, std::move(bytes));
+    send_payload(dest, tag, encode(value));
   }
 
   /// Ownership-transfer send: the vector itself becomes the message body.
@@ -141,7 +146,7 @@ class Communicator {
   void send(std::vector<T>&& values, int dest, int tag = 0) const {
     check_peer(dest, "send");
     check_tag(tag);
-    send_owned(dest, tag, std::move(values));
+    give(dest, tag, std::move(values));
   }
 
   /// Ownership-transfer send for strings (same contract as the vector
@@ -149,7 +154,7 @@ class Communicator {
   void send(std::string&& text, int dest, int tag = 0) const {
     check_peer(dest, "send");
     check_tag(tag);
-    send_owned(dest, tag, std::move(text));
+    give(dest, tag, std::move(text));
   }
 
   /// Ownership-transfer send for pre-serialized payloads: the blob moves
@@ -157,7 +162,7 @@ class Communicator {
   void send(Payload&& bytes, int dest, int tag = 0) const {
     check_peer(dest, "send");
     check_tag(tag);
-    send_payload(dest, tag, std::move(bytes));
+    give(dest, tag, std::move(bytes));
   }
 
   /// Synchronous send (MPI_Ssend): blocks until the receiver has matched
@@ -171,9 +176,7 @@ class Communicator {
     check_tag(tag);
     const std::uint64_t id = state_->next_ack.fetch_add(1);
     auto event = state_->register_ack(id);
-    Payload bytes = Codec<T>::encode(value);
-    count_payload_copy(bytes.size());
-    send_payload(dest, tag, std::move(bytes), id);
+    send_payload(dest, tag, encode(value), id);
     // An unmatched synchronous send is an indefinite wait: count it for
     // the deadlock watchdog.
     state_->blocked.fetch_add(1, std::memory_order_relaxed);
@@ -218,9 +221,7 @@ class Communicator {
       // A stale RTS consumed no budget worth of data: keep waiting out
       // the original deadline (a spent or poll-once budget polls again,
       // still free, and terminates — the queue only shrinks).
-      remaining = std::max(std::chrono::duration_cast<std::chrono::milliseconds>(
-                               deadline - std::chrono::steady_clock::now()),
-                           std::chrono::milliseconds(0));
+      remaining = time_left(deadline);
     }
   }
 
@@ -250,8 +251,7 @@ class Communicator {
     check_backoff(policy, "send_with_retry");
     auto backoff = policy.initial_backoff;
     if (backoff.count() <= 0) backoff = std::chrono::milliseconds(1);
-    Payload bytes = Codec<T>::encode(value);
-    count_payload_copy(bytes.size());
+    Payload bytes = encode(value);
     const bool large = bytes.size() > state_->eager_bytes;
     RendezvousHandle handle;
     if (large) {
@@ -263,9 +263,7 @@ class Communicator {
       Envelope e{context_, rank_, tag,
                  large ? Codec<RendezvousHandle>::encode(handle) : bytes};
       e.rts = large;
-      e.wants_ack = true;
-      e.ack_id = id;
-      deliver(dest, std::move(e));
+      deliver(dest, std::move(e), id);
       // Bounded wait, so never counted blocked for the watchdog: it
       // always recovers on its own.
       bool acked;
@@ -318,8 +316,7 @@ class Communicator {
         // Stale RTS (a duplicate this receive already rode out): fall
         // through to the backoff bookkeeping and wait for the real one.
       }
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
+      const auto remaining = time_left(deadline);
       if (remaining.count() <= 0) return std::nullopt;
       obs::count(obs::Counter::kRetryAttempts);
       obs::observe(obs::Metric::kRetryAttempts, 1);
@@ -374,9 +371,7 @@ class Communicator {
     check_peer(root, "reduce_with_timeout");
     obs::SpanScope coll{obs::SpanKind::kCollective, "reduce-timeout", root};
     if (rank_ != root) {
-      Payload bytes = Codec<T>::encode(local);
-      count_payload_copy(bytes.size());
-      send_payload(root, internal_tag::kReduce, std::move(bytes));
+      keep(root, internal_tag::kReduceTimeout, local);
       return Partial<T>{local, {}};
     }
     const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -384,11 +379,9 @@ class Communicator {
     out.value = local;
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
       // Budget spent: fall through to a poll so an already-queued
       // contribution still lands (recv_for treats <= 0 as poll-once).
-      auto value = recv_for<T>(remaining, r, internal_tag::kReduce);
+      auto value = recv_for<T>(time_left(deadline), r, internal_tag::kReduceTimeout);
       if (!value) {
         out.missing.push_back(r);
         continue;
@@ -400,22 +393,26 @@ class Communicator {
   }
 
   /// Binomial-tree broadcast from \p root (MPI_Bcast). Returns the value
-  /// on every rank. Each rank takes the value from its parent, then sends
-  /// every child its own copy (see send_copy): one payload copy per hop,
-  /// and a large vector arrives without a decode.
+  /// on every rank. Each rank takes the value from its parent, then keeps
+  /// it while sending every child a copy (see keep): one payload copy per
+  /// hop, and a large vector arrives without a decode.
   template <typename T>
   T broadcast(T value, int root) const {
     check_peer(root, "broadcast");
     obs::SpanScope coll{obs::SpanKind::kCollective, "broadcast", root};
     const int p = size();
     const int vr = (rank_ - root + p) % p;
-    if (vr != 0) {
-      // The parent is vr with its lowest set bit cleared.
-      const int parent = ((vr & (vr - 1)) + root) % p;
-      value = coll_recv_typed<T>(parent, internal_tag::kBcast, "broadcast");
+    // The parent is vr with its lowest set bit cleared. The root has no
+    // set bit, so its search runs on to the first power of two >= p.
+    int mask = 1;
+    while (mask < p && (vr & mask) == 0) mask <<= 1;
+    if (mask < p) {
+      value = coll_recv_typed<T>((vr - mask + root) % p, internal_tag::kBcast,
+                                 "broadcast");
     }
-    for (int child : bcast_children(vr, root)) {
-      send_copy(child, internal_tag::kBcast, value);
+    // The children are vr + every lower mask, sent high mask first.
+    for (mask >>= 1; mask > 0; mask >>= 1) {
+      if (vr + mask < p) keep((vr + mask + root) % p, internal_tag::kBcast, value);
     }
     return value;
   }
@@ -424,21 +421,16 @@ class Communicator {
   template <typename T>
   T flat_broadcast(T value, int root) const {
     check_peer(root, "flat_broadcast");
-    if (rank_ == root) {
-      // Encode once, copy bytes per destination.
-      const Payload bytes = Codec<T>::encode(value);
-      count_payload_copy(bytes.size());
-      for (int r = 0; r < size(); ++r) {
-        if (r != root) {
-          Payload forward = bytes;
-          count_payload_copy(forward.size());
-          send_payload(r, internal_tag::kBcast, std::move(forward));
-        }
-      }
-      return value;
+    obs::SpanScope coll{obs::SpanKind::kCollective, "flat-broadcast", root};
+    if (rank_ != root) {
+      return coll_recv_typed<T>(root, internal_tag::kBcast, "flat_broadcast");
     }
-    return decode_counted<T>(
-        coll_recv_typed<Payload>(root, internal_tag::kBcast, "flat_broadcast"));
+    // Encode once, then each destination gets a copy of the bytes.
+    const Payload bytes = encode(value);
+    for (int r = 0; r < size(); ++r) {
+      if (r != root) keep(r, internal_tag::kBcast, bytes);
+    }
+    return value;
   }
 
   /// Binomial-tree reduction to \p root (MPI_Reduce): ceil(lg p) parallel
@@ -457,8 +449,8 @@ class Communicator {
   }
 
   /// Elementwise vector reduction (MPI_Reduce on an array). Each hop ships
-  /// a copy of the sender's subtree partial (see send_copy): one payload
-  /// copy per hop above the eager threshold.
+  /// a copy of the sender's subtree partial (see keep): one payload copy
+  /// per hop above the eager threshold.
   template <typename T>
   std::vector<T> reduce(std::vector<T> local, const Op<T>& op, int root,
                         pml::Trace* trace = nullptr) const {
@@ -478,8 +470,9 @@ class Communicator {
   template <typename T>
   T flat_reduce(const T& local, const Op<T>& op, int root) const {
     check_peer(root, "flat_reduce");
+    obs::SpanScope coll{obs::SpanKind::kCollective, "flat-reduce", root};
     if (rank_ != root) {
-      send_encoded(root, internal_tag::kReduce, local);
+      keep(root, internal_tag::kReduce, local);
       return local;
     }
     T acc = local;
@@ -502,18 +495,15 @@ class Communicator {
     check_peer(root, "flat_reduce");
     obs::SpanScope coll{obs::SpanKind::kCollective, "flat-reduce", root};
     if (rank_ != root) {
-      send_owned(root, internal_tag::kReduce, std::move(local));
+      give(root, internal_tag::kReduce, std::move(local));
       return {};
     }
     std::vector<T> acc = std::move(local);
     // Fold in rank order for determinism.
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-          r, internal_tag::kReduce, "flat_reduce");
-      if (inc.size() != acc.size()) {
-        throw UsageError("flat_reduce: ranks contributed different vector lengths");
-      }
+      const std::vector<T> inc =
+          coll_recv_block<T>(r, internal_tag::kReduce, acc.size(), "flat_reduce");
       combine_range(op, acc.data(), inc.data(), acc.size());
       obs::count(obs::Counter::kCombines);
     }
@@ -523,8 +513,7 @@ class Communicator {
   /// MPI_Allreduce: reduce to rank 0, then broadcast.
   template <typename T>
   T allreduce(T local, const Op<T>& op) const {
-    T reduced = reduce(std::move(local), op, 0);
-    return broadcast(std::move(reduced), 0);
+    return tree_allreduce(std::move(local), op);
   }
 
   /// The large-body bar of the vector allreduce rule.
@@ -543,8 +532,7 @@ class Communicator {
         return ring_allreduce(std::move(local), op);
       }
     }
-    std::vector<T> reduced = reduce(std::move(local), op, 0);
-    return broadcast(std::move(reduced), 0);
+    return tree_allreduce(std::move(local), op);
   }
 
   /// Ring reduce-scatter (MPI_Reduce_scatter_block with the balanced block
@@ -587,10 +575,8 @@ class Communicator {
     for (int t = 0; t < p - 1; ++t) {
       const int sb = (rank_ - t + p) % p;
       const int rb = (rank_ - 1 - t + 2 * p) % p;
-      std::vector<T> out = blocks[static_cast<std::size_t>(sb)];
-      count_payload_copy(out.size() * sizeof(T));
       obs::count(obs::Counter::kCollSegments);
-      send_owned(right, internal_tag::kRingAg, std::move(out));
+      keep(right, internal_tag::kRingAg, blocks[static_cast<std::size_t>(sb)]);
       blocks[static_cast<std::size_t>(rb)] = coll_recv_typed<std::vector<T>>(
           left, internal_tag::kRingAg, "ring_allgather");
     }
@@ -618,34 +604,24 @@ class Communicator {
                   "ring_allreduce requires a trivially copyable element");
     const int p = size();
     if (p == 1) return local;
-    if (!op.commutative) {
-      std::vector<T> reduced = reduce(std::move(local), op, 0);
-      return broadcast(std::move(reduced), 0);
-    }
+    if (!op.commutative) return tree_allreduce(std::move(local), op);
     obs::SpanScope coll{obs::SpanKind::kCollective, "ring-allreduce"};
-    std::vector<T> mine =
-        ring_reduce_scatter_inplace(local, op, "ring_allreduce",
-                                    /*write_home=*/true);
     // Allgather phase fills the other ranks' blocks directly into `local`;
     // the reduced own-block seeds the ring without another slice copy.
+    std::vector<T> carry =
+        ring_reduce_scatter_inplace(local, op, "ring_allreduce",
+                                    /*write_home=*/true);
     const int left = (rank_ - 1 + p) % p;
     const int right = (rank_ + 1) % p;
-    std::vector<T> carry = std::move(mine);
     for (int t = 0; t < p - 1; ++t) {
       obs::count(obs::Counter::kCollSegments);
-      send_owned(right, internal_tag::kRingAg, std::move(carry));
+      give(right, internal_tag::kRingAg, std::move(carry));
       const int rb = (rank_ - 1 - t + 2 * p) % p;
       const auto [off, len] = block_range(rb, local.size(), p);
-      std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-          left, internal_tag::kRingAg, "ring_allreduce");
-      if (inc.size() != len) {
-        throw UsageError(
-            "ring_allreduce: ranks contributed different vector lengths");
-      }
-      std::copy(inc.begin(), inc.end(),
+      carry = coll_recv_block<T>(left, internal_tag::kRingAg, len, "ring_allreduce");
+      std::copy(carry.begin(), carry.end(),
                 local.begin() + static_cast<std::ptrdiff_t>(off));
       count_payload_copy(len * sizeof(T));
-      carry = std::move(inc);
     }
     return local;
   }
@@ -653,14 +629,13 @@ class Communicator {
   /// Inclusive prefix (MPI_Scan): rank r receives op over ranks 0..r.
   template <typename T>
   T scan(const T& local, const Op<T>& op) const {
+    obs::SpanScope coll{obs::SpanKind::kCollective, "scan"};
     T acc = local;
     if (rank_ > 0) {
       T prefix = coll_recv_typed<T>(rank_ - 1, internal_tag::kScan, "scan");
       acc = op.combine(prefix, local);
     }
-    if (rank_ + 1 < size()) {
-      send_encoded(rank_ + 1, internal_tag::kScan, acc);
-    }
+    if (rank_ + 1 < size()) keep(rank_ + 1, internal_tag::kScan, acc);
     return acc;
   }
 
@@ -671,13 +646,14 @@ class Communicator {
   /// then-ring-shift formulation costs two of each).
   template <typename T>
   T exscan(const T& local, const Op<T>& op) const {
+    obs::SpanScope coll{obs::SpanKind::kCollective, "exscan"};
     T exclusive = op.identity;
     if (rank_ > 0) {
       exclusive = coll_recv_typed<T>(rank_ - 1, internal_tag::kScan, "exscan");
     }
     if (rank_ + 1 < size()) {
-      const T inclusive = (rank_ == 0) ? local : op.combine(exclusive, local);
-      send_encoded(rank_ + 1, internal_tag::kScan, inclusive);
+      keep(rank_ + 1, internal_tag::kScan,
+           (rank_ == 0) ? local : op.combine(exclusive, local));
     }
     return exclusive;
   }
@@ -688,6 +664,7 @@ class Communicator {
   template <typename T>
   std::vector<T> scatter(const std::vector<T>& all, std::size_t chunk, int root) const {
     check_peer(root, "scatter");
+    obs::SpanScope coll{obs::SpanKind::kCollective, "scatter", root};
     if (rank_ == root) {
       if (all.size() != chunk * static_cast<std::size_t>(size())) {
         throw UsageError("scatter: root buffer must hold size()*chunk elements");
@@ -701,7 +678,7 @@ class Communicator {
         } else {
           // The slice copy above is the only copy: the piece itself is
           // parked (large) or encoded into the envelope (small).
-          send_owned(r, internal_tag::kScatter, std::move(piece));
+          give(r, internal_tag::kScatter, std::move(piece));
         }
       }
       return mine;
@@ -716,8 +693,9 @@ class Communicator {
   template <typename T>
   std::vector<T> gather(const std::vector<T>& mine, int root) const {
     check_peer(root, "gather");
+    obs::SpanScope coll{obs::SpanKind::kCollective, "gather", root};
     if (rank_ != root) {
-      send_encoded(root, internal_tag::kGather, mine);
+      keep(root, internal_tag::kGather, mine);
       return {};
     }
     std::vector<T> all;
@@ -746,7 +724,7 @@ class Communicator {
     check_peer(root, "gatherv");
     obs::SpanScope coll{obs::SpanKind::kCollective, "gatherv", root};
     if (rank_ != root) {
-      send_owned(root, internal_tag::kGather, std::move(mine));
+      give(root, internal_tag::kGather, std::move(mine));
       return {};
     }
     if (counts != nullptr) counts->assign(static_cast<std::size_t>(size()), 0);
@@ -787,47 +765,37 @@ class Communicator {
   }
 
   /// MPI_Alltoall: \p per_dest[r] is sent to rank r; the returned vector's
-  /// element r is what rank r sent to this rank.
-  template <typename T>
-  std::vector<std::vector<T>> alltoall(const std::vector<std::vector<T>>& per_dest) const {
+  /// element r is what rank r sent to this rank. Buffers passed as an
+  /// lvalue are kept (each hop ships a copy); buffers passed as an rvalue
+  /// are given, so pre-serialized Payloads — the mapreduce shuffle — move
+  /// into their envelopes (small) or park whole (large) and move back out
+  /// on receive, with no copy anywhere.
+  template <typename Buffers,
+            typename V = typename std::remove_cvref_t<Buffers>::value_type>
+  std::vector<V> alltoall(Buffers&& per_dest) const {
+    obs::SpanScope coll{obs::SpanKind::kCollective, "alltoall"};
     if (per_dest.size() != static_cast<std::size_t>(size())) {
       throw UsageError("alltoall: need exactly size() outgoing buffers");
     }
+    std::vector<V> in(static_cast<std::size_t>(size()));
     for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      send_encoded(r, internal_tag::kAlltoall,
-                   per_dest[static_cast<std::size_t>(r)]);
+      auto& out = per_dest[static_cast<std::size_t>(r)];
+      if constexpr (std::is_lvalue_reference_v<Buffers>) {
+        if (r == rank_) {
+          in[static_cast<std::size_t>(r)] = out;
+        } else {
+          keep(r, internal_tag::kAlltoall, out);
+        }
+      } else if (r == rank_) {
+        in[static_cast<std::size_t>(r)] = std::move(out);
+      } else {
+        give(r, internal_tag::kAlltoall, std::move(out));
+      }
     }
-    std::vector<std::vector<T>> in(static_cast<std::size_t>(size()));
-    in[static_cast<std::size_t>(rank_)] = per_dest[static_cast<std::size_t>(rank_)];
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      in[static_cast<std::size_t>(r)] = coll_recv_typed<std::vector<T>>(
-          r, internal_tag::kAlltoall, "alltoall");
-    }
-    return in;
-  }
-
-  /// Pre-serialized alltoall: each outgoing Payload travels as-is (identity
-  /// codec), *moved* into its envelope (small) or parked whole (large) and
-  /// moved back out on receive — no copy anywhere. This is the mapreduce
-  /// shuffle path, now zero-copy for spill-sized partitions.
-  std::vector<Payload> alltoall(std::vector<Payload> per_dest) const {
-    if (per_dest.size() != static_cast<std::size_t>(size())) {
-      throw UsageError("alltoall: need exactly size() outgoing buffers");
-    }
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      send_payload(r, internal_tag::kAlltoall,
-                   std::move(per_dest[static_cast<std::size_t>(r)]));
-    }
-    std::vector<Payload> in(static_cast<std::size_t>(size()));
-    in[static_cast<std::size_t>(rank_)] =
-        std::move(per_dest[static_cast<std::size_t>(rank_)]);
     for (int r = 0; r < size(); ++r) {
       if (r == rank_) continue;
       in[static_cast<std::size_t>(r)] =
-          coll_recv_typed<Payload>(r, internal_tag::kAlltoall, "alltoall");
+          coll_recv_typed<V>(r, internal_tag::kAlltoall, "alltoall");
     }
     return in;
   }
@@ -876,9 +844,7 @@ class Communicator {
       return true;
     }
     if (!ckpt_tick()) return false;
-    Payload bytes = Codec<T>::encode(state);
-    count_payload_copy(bytes.size());
-    ckpt_commit(key, std::move(bytes));
+    ckpt_commit(key, encode(state));
     return false;
   }
   /// @}
@@ -893,13 +859,28 @@ class Communicator {
   /// @}
 
  private:
-  Mailbox& my_mailbox() const {
-    return *state_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(rank_)])];
+  /// The mailbox of group rank \p r.
+  Mailbox& mailbox(int r) const {
+    return *state_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(r)])];
+  }
+  Mailbox& my_mailbox() const { return mailbox(rank_); }
+
+  /// Deposits \p e at group rank \p dest. \p ack_id != 0 requests a
+  /// receiver ack (ssend, send_with_retry).
+  void deliver(int dest, Envelope e, std::uint64_t ack_id = 0) const {
+    if (ack_id != 0) {
+      e.wants_ack = true;
+      e.ack_id = ack_id;
+    }
+    mailbox(dest).deliver(std::move(e));
   }
 
-  void deliver(int dest, Envelope e) const {
-    state_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(dest)])]
-        ->deliver(std::move(e));
+  /// Milliseconds left until \p deadline: zero or less once it has passed,
+  /// which a deadline receive treats as poll-once.
+  static std::chrono::milliseconds time_left(
+      std::chrono::steady_clock::time_point deadline) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
   }
 
   /// Turns a matched envelope into a T: decodes an eager body, or claims
@@ -944,6 +925,14 @@ class Communicator {
     }
   }
 
+  /// Codec encode with copy accounting: the one way a value becomes a body.
+  template <typename V>
+  static Payload encode(const V& value) {
+    Payload bytes = Codec<V>::encode(value);
+    count_payload_copy(bytes.size());
+    return bytes;
+  }
+
   /// Codec decode with copy accounting. Decoding into Payload is an
   /// identity move and counts nothing.
   template <typename T>
@@ -973,30 +962,41 @@ class Communicator {
   /// RTS was stale (duplicated or withdrawn) — the caller keeps waiting.
   std::optional<RendezvousTable::Parked> claim_rts(const Envelope& e) const;
 
-  /// Encode + copy-accounting + routed send: the one-liner the collective
-  /// algorithms use for their typed hops.
+  /// A hop whose value the sender keeps: a reduce partial is what reduce
+  /// returns off-root, a broadcast value goes to every child. The value is
+  /// encoded, except that a trivially copyable vector above the eager
+  /// threshold ships a copy by give(), so the hop costs one payload copy
+  /// and the receiver claims the body without a decode.
   template <typename V>
-  void send_encoded(int dest, int tag, const V& value) const {
-    Payload bytes = Codec<V>::encode(value);
-    count_payload_copy(bytes.size());
-    send_payload(dest, tag, std::move(bytes));
+  void keep(int dest, int tag, const V& value) const {
+    send_payload(dest, tag, encode(value));
+  }
+  template <typename T>
+  void keep(int dest, int tag, const std::vector<T>& value) const {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      if (byte_size(value) > state_->eager_bytes) {
+        count_payload_copy(byte_size(value));
+        give(dest, tag, std::vector<T>(value));
+        return;
+      }
+    }
+    send_payload(dest, tag, encode(value));
   }
 
-  /// Ownership-transfer send for a contiguous container (std::vector<T>,
-  /// std::string): small bodies encode eagerly; above the threshold the
-  /// container itself is parked and its heap buffer becomes the message
-  /// body — zero copies.
+  /// A hop that hands its body over. A Payload routes as-is. A contiguous
+  /// container (std::vector<T>, std::string) encodes eagerly at or below
+  /// the threshold; above it the container itself is parked and its heap
+  /// buffer becomes the message body — zero copies.
   template <typename V>
-  void send_owned(int dest, int tag, V&& container) const {
-    using Box = std::remove_reference_t<V>;
-    const std::size_t nbytes = byte_size(container);
-    if (nbytes <= state_->eager_bytes) {
-      Payload bytes = Codec<Box>::encode(container);
-      count_payload_copy(bytes.size());
-      send_payload(dest, tag, std::move(bytes));
-      return;
+    requires(!std::is_lvalue_reference_v<V>)
+  void give(int dest, int tag, V&& body) const {
+    if constexpr (std::is_same_v<V, Payload>) {
+      send_payload(dest, tag, std::move(body));
+    } else if (byte_size(body) > state_->eager_bytes) {
+      send_rts(dest, tag, RendezvousTable::Parked::owning(std::move(body)));
+    } else {
+      send_payload(dest, tag, encode(body));
     }
-    send_rts(dest, tag, RendezvousTable::Parked::owning(std::move(container)));
   }
 
   /// Moves a claimed body out as T: same-type claims transfer the buffer
@@ -1038,14 +1038,40 @@ class Communicator {
     if (!value) throw_collective_timeout(source, what);
     return std::move(*value);
   }
+
+  /// coll_recv_typed of a vector block that must hold \p n elements: a
+  /// ragged contribution is a UsageError naming \p what.
+  template <typename T>
+  std::vector<T> coll_recv_block(int source, int tag, std::size_t n,
+                                 const char* what) const {
+    std::vector<T> block = coll_recv_typed<std::vector<T>>(source, tag, what);
+    if (block.size() != n) {
+      throw UsageError(std::string(what) +
+                       ": ranks contributed different vector lengths");
+    }
+    return block;
+  }
   /// @}
 
   void check_peer(int r, const char* what) const;
   void check_source(int r, const char* what) const;
   static void check_tag(int tag);
-  static int next_pow2_at_least(int p) noexcept;
 
   [[noreturn]] void throw_collective_timeout(int source, const char* what) const;
+
+  /// The dissemination barrier's ceil(lg p) rounds, on tags base_tag +
+  /// round. \p trusted tokens bypass fault injection: checkpoint control
+  /// traffic must not be dropped/duplicated/delayed (a lost token would
+  /// stall every commit under drop faults), while the receives still pass
+  /// the crash checkpoint — victims die *inside* the protocol and recovery
+  /// takes over.
+  void disseminate(int base_tag, const char* what, bool trusted) const;
+
+  /// Deposits an empty checkpoint-protocol token that bypasses fault
+  /// injection (see disseminate).
+  void deliver_trusted(int dest, int tag) const {
+    mailbox(dest).deposit_trusted(Envelope{context_, rank_, tag, Payload{}});
+  }
 
   /// \name Checkpoint protocol plumbing (see checkpoint())
   /// @{
@@ -1053,12 +1079,6 @@ class Communicator {
   bool ckpt_take_restore(Payload& out) const;  ///< Pending restore -> blob.
   bool ckpt_tick() const;                   ///< Advance counter; commit now?
   void ckpt_commit(const std::string& key, Payload&& blob) const;
-  /// Dissemination barrier over trusted deposits: checkpoint control
-  /// traffic must not be dropped/duplicated/delayed by fault injection
-  /// (a lost token would stall every commit under drop faults), while the
-  /// receives still pass the crash checkpoint — victims die *inside* the
-  /// protocol and recovery takes over.
-  void ckpt_barrier(int base_tag, const char* what) const;
   static bool is_ckpt_tag(int tag) noexcept {
     return tag >= internal_tag::kCkptRelease && tag < internal_tag::kCkptEnd;
   }
@@ -1102,32 +1122,20 @@ class Communicator {
     const int p = size();
     const int left = (rank_ - 1 + p) % p;
     const int right = (rank_ + 1) % p;
-    std::vector<T> carry;
+    // Block (rank_ - 1) starts here and ends, fully reduced, at its owner
+    // after p-1 hops. The slice is the phase's one send-side copy.
+    const auto [first, n] = block_range(left, local.size(), p);
+    std::vector<T> carry(local.begin() + static_cast<std::ptrdiff_t>(first),
+                         local.begin() + static_cast<std::ptrdiff_t>(first + n));
+    count_payload_copy(n * sizeof(T));
     for (int t = 0; t < p - 1; ++t) {
       obs::count(obs::Counter::kCollSegments);
-      if (t == 0) {
-        // Block (rank_ - 1) starts here and ends, fully reduced, at its
-        // owner after p-1 hops. The slice is the phase's one send-side copy.
-        const auto [off, len] = block_range(left, local.size(), p);
-        std::vector<T> slice(
-            local.begin() + static_cast<std::ptrdiff_t>(off),
-            local.begin() + static_cast<std::ptrdiff_t>(off + len));
-        count_payload_copy(len * sizeof(T));
-        send_owned(right, internal_tag::kRingRs, std::move(slice));
-      } else {
-        send_owned(right, internal_tag::kRingRs, std::move(carry));
-      }
+      give(right, internal_tag::kRingRs, std::move(carry));
       const int rb = (rank_ - 2 - t + 2 * p) % p;
       const auto [off, len] = block_range(rb, local.size(), p);
-      std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-          left, internal_tag::kRingRs, what);
-      if (inc.size() != len) {
-        throw UsageError(std::string(what) +
-                         ": ranks contributed different vector lengths");
-      }
-      combine_range(op, inc.data(), local.data() + off, len);
+      carry = coll_recv_block<T>(left, internal_tag::kRingRs, len, what);
+      combine_range(op, carry.data(), local.data() + off, len);
       obs::count(obs::Counter::kCombines);
-      carry = std::move(inc);
     }
     if (write_home) {
       const auto [off, len] = block_range(rank_, local.size(), p);
@@ -1143,31 +1151,29 @@ class Communicator {
   template <typename T>
   std::vector<T> reduce_scatter_via_tree(std::vector<T> local,
                                          const Op<T>& op) const {
-    obs::SpanScope coll{obs::SpanKind::kCollective, "reduce-scatter"};
     const int p = size();
     const std::size_t n = local.size();
     std::vector<T> full = reduce(std::move(local), op, 0);
+    // After reduce's own span, so the two cover the call without nesting.
+    obs::SpanScope coll{obs::SpanKind::kCollective, "reduce-scatter"};
     if (rank_ != 0) {
       return coll_recv_typed<std::vector<T>>(0, internal_tag::kRingRs,
                                              "reduce_scatter");
     }
-    for (int r = 1; r < p; ++r) {
+    std::vector<T> mine;
+    for (int r = 0; r < p; ++r) {
       const auto [off, len] = block_range(r, n, p);
       std::vector<T> piece(full.begin() + static_cast<std::ptrdiff_t>(off),
                            full.begin() + static_cast<std::ptrdiff_t>(off + len));
       count_payload_copy(len * sizeof(T));
-      send_owned(r, internal_tag::kRingRs, std::move(piece));
+      if (r == 0) {
+        mine = std::move(piece);
+      } else {
+        give(r, internal_tag::kRingRs, std::move(piece));
+      }
     }
-    const auto [off, len] = block_range(0, n, p);
-    std::vector<T> mine(full.begin() + static_cast<std::ptrdiff_t>(off),
-                        full.begin() + static_cast<std::ptrdiff_t>(off + len));
-    count_payload_copy(len * sizeof(T));
     return mine;
   }
-
-  /// Absolute ranks of vr's binomial-tree children under \p root, in the
-  /// high-mask-first order the whole-body broadcast sends.
-  std::vector<int> bcast_children(int vr, int root) const;
 
   /// @}
 
@@ -1182,7 +1188,7 @@ class Communicator {
     for (int mask = 1; mask < p; mask <<= 1, ++round) {
       if ((vr & mask) != 0) {
         const int parent = ((vr - mask) + root) % p;
-        send_copy(parent, internal_tag::kReduce, local);
+        keep(parent, internal_tag::kReduce, local);
         break;  // sent our subtree's partial upward; done
       }
       if (vr + mask < p) {
@@ -1197,26 +1203,11 @@ class Communicator {
     return local;
   }
 
-  /// A tree hop: sends \p dest a copy of \p value, which the sender keeps
-  /// (a reduce partial is what reduce returns off-root; a broadcast value
-  /// goes to every child). A trivially copyable vector above the eager
-  /// threshold ships its copy by ownership transfer, so the hop costs one
-  /// payload copy and the receiver claims the body without a decode.
-  template <typename V>
-  void send_copy(int dest, int tag, const V& value) const {
-    send_encoded(dest, tag, value);
-  }
-  template <typename T>
-  void send_copy(int dest, int tag, const std::vector<T>& value) const {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      if (byte_size(value) > state_->eager_bytes) {
-        std::vector<T> copy = value;
-        count_payload_copy(byte_size(copy));
-        send_owned(dest, tag, std::move(copy));
-        return;
-      }
-    }
-    send_encoded(dest, tag, value);
+  /// The tree allreduce every non-ring path takes: reduce to rank 0, then
+  /// broadcast.
+  template <typename V, typename T>
+  V tree_allreduce(V local, const Op<T>& op) const {
+    return broadcast(reduce(std::move(local), op, 0), 0);
   }
 
   std::shared_ptr<detail::RuntimeState> state_;

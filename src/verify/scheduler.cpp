@@ -454,11 +454,15 @@ std::uint32_t Scheduler::choice(std::uint32_t arity, const char* site) {
 
 std::uint64_t Scheduler::signature() const {
   using sched::detail::mix64;
+  // An address hashes as its first-touch index within this execution, so
+  // executions that touch the same objects in the same roles hash equal
+  // whatever the heap layout.
+  std::unordered_map<const void*, std::uint64_t> first_touch;
   std::uint64_t h = 0x243f6a8885a308d3ULL;
   for (const Step& s : log_) {
     h = mix64(h ^ s.lane);
     h = mix64(h ^ static_cast<std::uint64_t>(static_cast<int>(s.kind)));
-    h = mix64(h ^ reinterpret_cast<std::uintptr_t>(s.addr));
+    h = mix64(h ^ first_touch.try_emplace(s.addr, first_touch.size()).first->second);
     h = mix64(h ^ s.chosen);
   }
   return h;

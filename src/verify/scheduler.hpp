@@ -107,6 +107,8 @@ class Scheduler final : public sched::CoopSink {
   std::uint64_t decisions() const { return index_; }
   /// Hash of the (lane, kind, addr, chosen) step sequence — used by the
   /// explorer to dedup schedules that collapse to the same execution.
+  /// Addresses enter as first-touch indices, so the hash does not depend
+  /// on heap layout or ASLR.
   std::uint64_t signature() const;
 
  private:

@@ -191,7 +191,7 @@ TEST(CkptSnapshot, UnknownVersionThrows) {
 TEST(CkptSnapshot, SaveLoadRoundTripsThroughAFile) {
   const std::string path = ::testing::TempDir() + "pml_ckpt_roundtrip.pmlckpt";
   const GlobalCut cut = sample_cut();
-  save(path, cut);
+  save(path, encode(cut));
   const GlobalCut back = load(path);
   EXPECT_EQ(back.seq, cut.seq);
   EXPECT_EQ(back.key, cut.key);

@@ -1,7 +1,8 @@
 /// \file retry_test.cpp
 /// \brief Tests for the fault-tolerant communication layer:
-/// send_with_retry / recv_retry under injected faults, and the collective
-/// timeout mode that degrades instead of hanging.
+/// send_with_retry / recv_retry under injected faults, the collective
+/// timeout mode that degrades instead of hanging, and the bounded
+/// collectives' isolation from the unbounded ones.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
@@ -211,6 +213,60 @@ TEST(BarrierFor, DegradesToFalseWhenANodeCrashes) {
   // The survivors were released with a degraded verdict, not left hanging.
   EXPECT_FALSE(verdict[0].load());
   EXPECT_FALSE(verdict[2].load());
+}
+
+// The bounded collectives have tags of their own: a report or contribution
+// that lands after the root gave up is never consumed by the unbounded
+// collective that follows. In both tests the late rank waits until the
+// root has given up, so it is late on every schedule.
+
+TEST(BarrierFor, ALateReportDoesNotReleaseTheNextBarrier) {
+  std::atomic<bool> root_gave_up{false};
+  // Each written by one rank's thread; read after run() joins them.
+  std::chrono::steady_clock::time_point root_left{};
+  std::chrono::steady_clock::time_point late_entered{};
+  run(2, [&](Communicator& world) {
+    if (world.rank() == 0) {
+      EXPECT_FALSE(world.barrier_for(20ms));
+      root_gave_up = true;
+      world.barrier();
+      root_left = std::chrono::steady_clock::now();
+    } else {
+      while (!root_gave_up) std::this_thread::sleep_for(1ms);
+      EXPECT_FALSE(world.barrier_for(20ms));
+      std::this_thread::sleep_for(200ms);
+      late_entered = std::chrono::steady_clock::now();
+      world.barrier();
+    }
+  });
+  // Rank 0 cannot leave the barrier before rank 1 has entered it.
+  const auto early =
+      std::chrono::duration_cast<std::chrono::milliseconds>(late_entered - root_left);
+  EXPECT_LE(early.count(), 0) << "rank 0 left the barrier " << early.count()
+                              << " ms before rank 1 entered it";
+}
+
+TEST(CollectiveTimeout, ALateContributionDoesNotReachTheNextReduce) {
+  std::atomic<bool> root_gave_up{false};
+  // Written by rank 0's thread only; read after run() joins it.
+  Partial<int> bounded;
+  int total = 0;
+  run(3, [&](Communicator& world) {
+    const int r = world.rank();
+    if (r == 2) {
+      while (!root_gave_up) std::this_thread::sleep_for(1ms);
+    }
+    auto part = world.reduce_with_timeout(r + 1, op_sum<int>(), 0, 20ms);
+    if (r == 0) {
+      bounded = std::move(part);
+      root_gave_up = true;
+    }
+    const int sum = world.reduce(10 * (r + 1), op_sum<int>(), 0);
+    if (r == 0) total = sum;
+  });
+  EXPECT_EQ(bounded.value, 3);
+  EXPECT_EQ(bounded.missing, (std::vector<int>{2}));
+  EXPECT_EQ(total, 60);  // 10 + 20 + 30: rank 2's late 3 stays out of it
 }
 
 }  // namespace

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "mp/mp.hpp"
+#include "obs/obs.hpp"
 
 namespace pml::mp {
 namespace {
@@ -285,6 +290,101 @@ TEST(CollectiveOps, UserDefinedAssociativeOp) {
     const long g = comm.allreduce(vals[comm.rank()], gcd_op);
     EXPECT_EQ(g, 6);
   });
+}
+
+// Profiling: kCollective spans cover every collective call exactly once.
+// Each call holds at least one span, and no two spans of a rank overlap,
+// so --profile's collective time neither misses a call nor counts one
+// twice. Each call runs inside a kRegion span labelled "call:<name>".
+
+TEST(CollectiveSpans, EveryCallIsCoveredOnceWithoutNesting) {
+  static constexpr int kNp = 4;
+  Op<long> ordered = op_sum<long>();
+  ordered.commutative = false;  // the tree fallbacks
+  const std::size_t ring_elems = Communicator::kRingAllreduceBytes / sizeof(long);
+  obs::Scope scope;
+  run(kNp, [&](Communicator& comm) {
+    const long r = comm.rank();
+    const auto call = [](const char* label, const auto& body) {
+      obs::SpanScope window{obs::SpanKind::kRegion, label};
+      body();
+    };
+    const std::vector<std::vector<long>> per_dest(kNp, std::vector<long>{r});
+    call("call:barrier", [&] { comm.barrier(); });
+    call("call:barrier_for", [&] { (void)comm.barrier_for(std::chrono::seconds(30)); });
+    call("call:broadcast", [&] { (void)comm.broadcast(r, 0); });
+    call("call:flat_broadcast", [&] { (void)comm.flat_broadcast(r, 0); });
+    call("call:reduce", [&] { (void)comm.reduce(r, op_sum<long>(), 0); });
+    call("call:reduce(vector)",
+         [&] { (void)comm.reduce(std::vector<long>(8, r), op_sum<long>(), 0); });
+    call("call:flat_reduce", [&] { (void)comm.flat_reduce(r, op_sum<long>(), 0); });
+    call("call:flat_reduce(vector)",
+         [&] { (void)comm.flat_reduce(std::vector<long>(8, r), op_sum<long>(), 0); });
+    call("call:reduce_with_timeout", [&] {
+      (void)comm.reduce_with_timeout(r, op_sum<long>(), 0, std::chrono::seconds(30));
+    });
+    call("call:allreduce", [&] { (void)comm.allreduce(r, op_sum<long>()); });
+    call("call:allreduce(tree)",
+         [&] { (void)comm.allreduce(std::vector<long>(8, r), op_sum<long>()); });
+    call("call:allreduce(ring)",
+         [&] { (void)comm.allreduce(std::vector<long>(ring_elems, r), op_sum<long>()); });
+    call("call:ring_allreduce",
+         [&] { (void)comm.ring_allreduce(std::vector<long>(8, r), op_sum<long>()); });
+    call("call:ring_allreduce(non-commutative)",
+         [&] { (void)comm.ring_allreduce(std::vector<long>(8, r), ordered); });
+    call("call:reduce_scatter",
+         [&] { (void)comm.reduce_scatter(std::vector<long>(8, r), op_sum<long>()); });
+    call("call:reduce_scatter(non-commutative)",
+         [&] { (void)comm.reduce_scatter(std::vector<long>(8, r), ordered); });
+    call("call:ring_allgather",
+         [&] { (void)comm.ring_allgather(std::vector<long>(2, r)); });
+    call("call:scan", [&] { (void)comm.scan(r, op_sum<long>()); });
+    call("call:exscan", [&] { (void)comm.exscan(r, op_sum<long>()); });
+    call("call:scatter", [&] { (void)comm.scatter(std::vector<long>(8, r), 2, 0); });
+    call("call:gather", [&] { (void)comm.gather(std::vector<long>(2, r), 0); });
+    call("call:gatherv", [&] {
+      (void)comm.gatherv(std::vector<long>(static_cast<std::size_t>(r) + 1, r), 0);
+    });
+    call("call:allgather", [&] { (void)comm.allgather(std::vector<long>(2, r)); });
+    call("call:allgather(scalar)", [&] { (void)comm.allgather(r); });
+    call("call:allgatherv", [&] {
+      (void)comm.allgatherv(std::vector<long>(static_cast<std::size_t>(r) + 1, r));
+    });
+    call("call:alltoall(kept)", [&] { (void)comm.alltoall(per_dest); });
+    call("call:alltoall(given)", [&] { (void)comm.alltoall(std::vector<Payload>(kNp)); });
+    call("call:split", [&] { (void)comm.split(static_cast<int>(r % 2), 0); });
+    call("call:dup", [&] { (void)comm.dup(); });
+  });
+  const obs::Profile p = scope.finish();
+  for (int rank = 0; rank < kNp; ++rank) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    std::vector<obs::Span> calls;
+    std::vector<obs::Span> spans;
+    for (const obs::Span& s : p.spans) {
+      if (s.task != rank) continue;
+      if (s.kind == obs::SpanKind::kCollective) spans.push_back(s);
+      if (s.kind == obs::SpanKind::kRegion && s.label != nullptr &&
+          std::string_view(s.label).starts_with("call:")) {
+        calls.push_back(s);
+      }
+    }
+    const auto by_begin = [](const obs::Span& a, const obs::Span& b) {
+      return a.begin_ns < b.begin_ns;
+    };
+    std::sort(spans.begin(), spans.end(), by_begin);
+    ASSERT_EQ(calls.size(), 29u);
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+      EXPECT_LE(spans[i - 1].end_ns, spans[i].begin_ns)
+          << spans[i].label << " begins inside " << spans[i - 1].label;
+    }
+    for (const obs::Span& c : calls) {
+      const auto inside =
+          std::count_if(spans.begin(), spans.end(), [&](const obs::Span& s) {
+            return s.begin_ns >= c.begin_ns && s.end_ns <= c.end_ns;
+          });
+      EXPECT_GE(inside, 1) << c.label << " opened no collective span";
+    }
+  }
 }
 
 }  // namespace
